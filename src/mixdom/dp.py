@@ -19,7 +19,8 @@ from typing import Iterator
 
 from .graph import Graph, is_mixed_dominating_set
 from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN
-from .treedec import NiceTreeDecomposition, postorder_traversal
+from .treedec import NiceTreeDecomposition
+from .walk import walk
 
 MEMBER_VERTEX_STATES = (1, 2)
 ROOT_OK_VERTEX = (1, 2, 3, 4)
@@ -96,7 +97,9 @@ class StateTable:
     decrease along the dynamic program (introduces add selections, forgets
     keep cost, joins charge at least each side's cost), so capping at the
     size of any known mixed dominating set is lossless for the optimum and
-    for enumeration while keeping tables small on dense bags.
+    for enumeration while keeping tables small on dense bags.  The tighter
+    per-bag cost window that run_dp adds under a cap lives in walk.py,
+    together with its soundness argument.
     """
 
     def __init__(
@@ -631,6 +634,49 @@ class DPResult:
     tables: tuple[StateTable, ...] | None = None
 
 
+class _NineState:
+    """The nine-state program's half of the bag walk.  Bag operations are
+    looked up as module globals on every call, so wrappers installed on
+    this module from outside see each call."""
+
+    def __init__(self, track_witnesses: bool):
+        self.track_witnesses = track_witnesses
+
+    def leaf(self, g, bag, cost_cap):
+        return leaf_table(g, bag, self.track_witnesses, cost_cap)
+
+    def introduce(self, g, child, vertex, cost_cap):
+        return _introduce_extend(g, child, vertex, cost_cap)
+
+    def forget(self, g, child, vertex, cost_cap):
+        return forget_reduce(g, child, vertex, cost_cap)
+
+    def join(self, g, left, right, cost_cap):
+        return _join_grouped(g, left, right, cost_cap)
+
+    def min_cost(self, table: StateTable) -> int | None:
+        return min((entry[0] for entry in table.rows.values()), default=None)
+
+    def drop_above(self, table: StateTable, limit: int) -> StateTable:
+        rows = table.rows
+        for key in [key for key, entry in rows.items() if entry[0] > limit]:
+            del rows[key]
+        return table
+
+    def root_gamma(self, table: StateTable) -> int | None:
+        return min((cost for _, cost, _ in _root_rows(table)), default=None)
+
+
+def _root_rows(table: StateTable):
+    """(key, cost, witnesses) of the rows that are feasible at the root."""
+    k = len(table.layout.vertices)
+    for key, (cost, wit) in table.rows.items():
+        if all(s in ROOT_OK_VERTEX for s in key[:k]) and all(
+            s in ROOT_OK_EDGE for s in key[k:]
+        ):
+            yield key, cost, wit
+
+
 def run_dp(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -645,76 +691,27 @@ def run_dp(
     minimum mixed dominating set as a bitmask over V ∪ E (each re-checked
     against the definition before being returned).
 
-    cost_cap prunes rows costing more than the cap at every bag.  The
-    result (optimum and enumeration) is unchanged as long as the cap is at
-    least the size of some mixed dominating set, e.g. greedy_upper_bound;
-    on dense bags this keeps table sizes polynomial in practice.
+    cost_cap prunes rows costing more than the cap at every bag and turns
+    on the cost window of walk.py, which also drops rows costing more than
+    their table's minimum plus the bag size; see walk.py for why neither
+    changes the result.  The result (optimum and enumeration) is unchanged
+    as long as the cap is at least the size of some mixed dominating set,
+    e.g. greedy_upper_bound.  Without a cap the tables are the full ones.
     """
-    if tau is None:
-        tau = postorder_traversal(ntd)
-    for node in ntd.nodes:
-        for v in node.bag:
-            if not 0 <= v < g.vertex_count:
-                raise ValueError(f"bag vertex {v} is not in the graph")
-    seen_vertices: set[int] = set()
-    seen_edges: set[int] = set()
-    tables: dict[int, StateTable] = {}
-    collected: list[StateTable] = []
-    for idx in tau:
-        node = ntd.nodes[idx]
-        if node.kind == "leaf":
-            t = leaf_table(g, node.bag, enumerate_sets, cost_cap)
-        elif node.kind == "introduce":
-            t = _introduce_extend(
-                g, tables[node.children[0]], node.vertex, cost_cap
-            )
-        elif node.kind == "forget":
-            t = forget_reduce(g, tables[node.children[0]], node.vertex, cost_cap)
-        elif node.kind == "join":
-            t = _join_grouped(
-                g, tables[node.children[0]], tables[node.children[1]], cost_cap
-            )
-        else:
-            raise ValueError(f"unknown bag kind {node.kind}")
-        for c in node.children:
-            if not collect_tables:
-                del tables[c]
-        tables[idx] = t
-        if collect_tables:
-            collected.append(t)
-        seen_vertices.update(t.layout.vertices)
-        seen_edges.update(t.layout.edges)
-    if seen_vertices != set(range(g.vertex_count)) or seen_edges != set(
-        range(g.edge_count)
-    ):
-        raise ValueError("decomposition does not cover the graph")
-
-    root = tables[tau[-1]]
-    k = len(root.layout.vertices)
-    gamma: int | None = None
-    for key, (cost, _) in root.rows.items():
-        if all(s in ROOT_OK_VERTEX for s in key[:k]) and all(
-            s in ROOT_OK_EDGE for s in key[k:]
-        ):
-            if gamma is None or cost < gamma:
-                gamma = cost
-    if gamma is None:
-        if cost_cap is not None:
-            raise ValueError(f"cost_cap {cost_cap} is below the optimum")
-        raise AssertionError("no feasible root row; the full set always dominates")
+    root, gamma, tables = walk(
+        g, ntd, _NineState(enumerate_sets), tau, collect_tables, cost_cap
+    )
     min_sets: frozenset[int] | None = None
     if enumerate_sets:
         out: set[int] = set()
-        for key, (cost, wit) in root.rows.items():
-            if cost == gamma and all(
-                s in ROOT_OK_VERTEX for s in key[:k]
-            ) and all(s in ROOT_OK_EDGE for s in key[k:]):
+        for _, cost, wit in _root_rows(root):
+            if cost == gamma:
                 out.update(wit)
         for mask in out:
             if not is_mixed_dominating_set(g, mask):
                 raise AssertionError(f"witness {mask:#x} is not a dominating set")
         min_sets = frozenset(out)
-    return DPResult(gamma, min_sets, tuple(collected) if collect_tables else None)
+    return DPResult(gamma, min_sets, tables)
 
 
 def render_table(t: StateTable, one_based: bool = True) -> str:

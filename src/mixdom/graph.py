@@ -71,6 +71,7 @@ class Graph:
             incidence[v].append(i)
         self._adjacency = tuple(tuple(sorted(a)) for a in adjacency)
         self._incidence = tuple(tuple(a) for a in incidence)
+        self._domination_masks: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -193,12 +194,19 @@ def mixed_closed_neighborhood(g: Graph, r: MixedElement) -> set[MixedElement]:
     raise ValueError(f"bad element kind {r.kind!r}")
 
 
-def domination_masks(g: Graph) -> list[int]:
+def domination_masks(g: Graph) -> tuple[int, ...]:
     """For each element index, the bitmask of its closed mixed neighborhood.
 
     The relation is symmetric, so masks[i] is both "what i dominates" and
-    "what dominates i".
+    "what dominates i".  Computed on first use and kept on the graph, which
+    never changes.
     """
+    if g._domination_masks is None:
+        g._domination_masks = _build_domination_masks(g)
+    return g._domination_masks
+
+
+def _build_domination_masks(g: Graph) -> tuple[int, ...]:
     n = g.vertex_count
     masks = [0] * g.element_count
     for v in range(n):
@@ -215,7 +223,7 @@ def domination_masks(g: Graph) -> list[int]:
         for e in g.incident_edges(v):
             m |= 1 << (n + e)
         masks[n + eid] = m
-    return masks
+    return tuple(masks)
 
 
 def is_mixed_dominating_set(g: Graph, s: int | Iterable[MixedElement]) -> bool:

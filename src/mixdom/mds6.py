@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph
-from .treedec import NiceTreeDecomposition, postorder_traversal
+from .treedec import NiceTreeDecomposition
+from .walk import walk
 
 CostLedger = dict[int, int]
 Rows6 = dict[tuple, CostLedger]
@@ -320,6 +321,48 @@ def moebius6(rows: Rows6, validate: bool = True) -> Rows6:
     return cleaned
 
 
+class _SixState:
+    """The six-state program's half of the bag walk.  Bag operations are
+    looked up as module globals on every call, so wrappers installed on
+    this module from outside see each call."""
+
+    def leaf(self, g, bag, cost_cap):
+        return leaf6(g, bag)
+
+    def introduce(self, g, child, vertex, cost_cap):
+        return introduce6(g, child, vertex, cost_cap)
+
+    def forget(self, g, child, vertex, cost_cap):
+        return forget6(child, vertex, cost_cap)
+
+    def join(self, g, left, right, cost_cap):
+        return join6(left, right, cost_cap=cost_cap)
+
+    def min_cost(self, table: SixTable) -> int | None:
+        return min((min(ledger) for ledger in table.rows.values()), default=None)
+
+    def drop_above(self, table: SixTable, limit: int) -> SixTable:
+        rows: Rows6 = {}
+        for key, ledger in table.rows.items():
+            if max(ledger) > limit:
+                ledger = {cost: n for cost, n in ledger.items() if cost <= limit}
+            if ledger:
+                rows[key] = ledger
+        return SixTable(table.vertices, rows)
+
+    def root_gamma(self, table: SixTable) -> int | None:
+        return min(
+            (
+                cost
+                for key, ledger in table.rows.items()
+                if all(s in SETTLED for s in key)
+                for cost, count in ledger.items()
+                if count
+            ),
+            default=None,
+        )
+
+
 def run6(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -329,64 +372,11 @@ def run6(
 ) -> Run6Result:
     """Run the six-state program and return the mixed domination number.
 
-    cost_cap prunes ledger entries above the cap at every bag; the result
-    is unchanged as long as the cap is at least the size of some mixed
-    dominating set, e.g. greedy_upper_bound.
+    cost_cap prunes ledger entries above the cap at every bag and turns on
+    the cost window of walk.py, which also drops entries costing more than
+    their table's minimum plus the bag size; see walk.py for why neither
+    changes the optimum.  The result is unchanged as long as the cap is at
+    least the size of some mixed dominating set, e.g. greedy_upper_bound.
     """
-    if tau is None:
-        tau = postorder_traversal(ntd)
-    for node in ntd.nodes:
-        for v in node.bag:
-            if not 0 <= v < g.vertex_count:
-                raise ValueError(f"bag vertex {v} is not in the graph")
-    seen_vertices: set[int] = set()
-    seen_edges: set[int] = set()
-    tables: dict[int, SixTable] = {}
-    collected: list[SixTable] = []
-    for idx in tau:
-        node = ntd.nodes[idx]
-        if node.kind == "leaf":
-            t = leaf6(g, node.bag)
-        elif node.kind == "introduce":
-            child = tables[node.children[0]]
-            seen_edges.update(
-                g.edge_id(node.vertex, u)
-                for u in child.vertices
-                if g.has_edge(node.vertex, u)
-            )
-            t = introduce6(g, child, node.vertex, cost_cap)
-        elif node.kind == "forget":
-            t = forget6(tables[node.children[0]], node.vertex, cost_cap)
-        elif node.kind == "join":
-            t = join6(
-                tables[node.children[0]], tables[node.children[1]],
-                cost_cap=cost_cap,
-            )
-        else:
-            raise ValueError(f"unknown bag kind {node.kind}")
-        if set(t.vertices) != set(node.bag):
-            raise ValueError("bag content does not match the operation")
-        for c in node.children:
-            if not collect_tables:
-                del tables[c]
-        tables[idx] = t
-        if collect_tables:
-            collected.append(t)
-        seen_vertices.update(t.vertices)
-    if seen_vertices != set(range(g.vertex_count)) or seen_edges != set(
-        range(g.edge_count)
-    ):
-        raise ValueError("decomposition does not cover the graph")
-
-    root = tables[tau[-1]]
-    gamma: int | None = None
-    for key, ledger in root.rows.items():
-        if all(s in SETTLED for s in key):
-            for cost, count in ledger.items():
-                if count and (gamma is None or cost < gamma):
-                    gamma = cost
-    if gamma is None:
-        if cost_cap is not None:
-            raise ValueError(f"cost_cap {cost_cap} is below the optimum")
-        raise AssertionError("no feasible root row; the full set always dominates")
-    return Run6Result(gamma, tuple(collected) if collect_tables else None)
+    _, gamma, tables = walk(g, ntd, _SixState(), tau, collect_tables, cost_cap)
+    return Run6Result(gamma, tables)

@@ -21,11 +21,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
 
-    def neighbors_of(self, i: int) -> list[int]:
-        out = [b for a, b in self.edges if a == i]
-        out += [a for a, b in self.edges if b == i]
-        return out
-
 
 @dataclass(frozen=True)
 class NiceBag:
@@ -232,16 +227,11 @@ def make_very_nice(
             idx = emit(frozenset(have), "introduce", v, (idx,))
         return idx
 
-    def build(bag_idx: int, parent_idx: int | None) -> int | None:
-        """Emit the subtree of bag_idx; returns the index of its top node
-        (content equal to the input bag), or None for vertex-less subtrees."""
+    def close(bag_idx: int, child_tops: list[int]) -> int | None:
+        """Emit bag_idx on top of its built child subtrees; returns the index
+        of its top node (content equal to the input bag), or None for
+        vertex-less subtrees."""
         bag = td.bags[bag_idx]
-        child_tops = []
-        for nb in sorted(adjacency[bag_idx]):
-            if nb != parent_idx:
-                sub = build(nb, bag_idx)
-                if sub is not None:
-                    child_tops.append(sub)
         if not child_tops:
             return fresh_chain(bag) if bag else None
         aligned = [bridge(c, bag) for c in child_tops]
@@ -250,7 +240,30 @@ def make_very_nice(
             idx = emit(bag, "join", None, (idx, other))
         return idx
 
-    top_idx = build(top, None)
+    # Depth-first over the bag tree with an explicit stack, so a long path
+    # of bags needs no recursion.  Children are visited in ascending bag
+    # index and a bag is closed after all of them, which fixes the order
+    # the nodes are emitted in.  A frame is (bag, parent, unvisited
+    # neighbors, tops of the built child subtrees).
+    stack = [(top, None, iter(sorted(adjacency[top])), [])]
+    visited = {top}
+    top_idx = None
+    while stack:
+        bag_idx, parent_idx, pending, child_tops = stack[-1]
+        nb = next(pending, None)
+        if nb is not None:
+            if nb != parent_idx:
+                if nb in visited:
+                    raise ValueError("the bags do not form a tree")
+                visited.add(nb)
+                stack.append((nb, bag_idx, iter(sorted(adjacency[nb])), []))
+            continue
+        stack.pop()
+        sub = close(bag_idx, child_tops)
+        if not stack:
+            top_idx = sub
+        elif sub is not None:
+            stack[-1][3].append(sub)
     assert top_idx is not None
     remaining = set(nodes[top_idx].bag)
     keep = min(remaining) if remaining else None

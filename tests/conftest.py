@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -60,3 +61,18 @@ def connected_graphs_up_to(n_max: int):
         for g in all_graphs(n):
             if is_connected(g):
                 yield g
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at CPython's default recursion limit of 1000."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)

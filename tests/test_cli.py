@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, path_graph
 from mixdom.cli import main
-from mixdom.graph import parse_gr
+from mixdom.graph import parse_gr, write_gr
 from mixdom.treedec import parse_td, validate_td
 
 G1 = str(FIXTURES / "g1.gr")
@@ -162,3 +162,12 @@ def test_bench_times_both_programs(capsys):
     gammas = {r["gamma"] for r in report["runs"]}
     assert len(gammas) == 1
     assert report["width"] <= 2
+
+
+@pytest.mark.parametrize("algo", ["amds", "six"])
+def test_solve_on_a_long_path(capsys, tmp_path, default_recursion_limit, algo):
+    path = tmp_path / "p1500.gr"
+    path.write_text(write_gr(path_graph(1500)))
+    report = run_json(capsys, "solve", "--graph", str(path), "--algo", algo)
+    assert report["gamma"] == 600
+    assert report["width"] == 1

@@ -141,6 +141,7 @@ def test_domination_masks_match_neighborhoods(g1):
         for elem in mixed_closed_neighborhood(g1, g1.element_at(i)):
             expected |= 1 << g1.element_index(elem)
         assert masks[i] == expected
+    assert domination_masks(g1) is masks
 
 
 def test_parse_gr_basic_graphs():

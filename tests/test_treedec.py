@@ -215,6 +215,12 @@ def test_very_nice_preserves_width_and_is_small():
         assert len(ntd) <= 16 * g.vertex_count
 
 
+def test_very_nice_rejects_a_cycle_of_bags():
+    td = from_bags([{0}, {0, 1}, {1}], [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(ValueError, match="tree"):
+        make_very_nice(td)
+
+
 def test_very_nice_rejects_empty_graph():
     with pytest.raises(ValueError):
         make_very_nice(TreeDecomposition((frozenset(),), (), 0))
