@@ -63,10 +63,17 @@ def _load_td(path: str) -> TreeDecomposition:
         raise CliError(1, f"{path}: {exc}") from exc
 
 
+def _problems(g: Graph, td: TreeDecomposition) -> list[str]:
+    try:
+        return validate_td(g, td)
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from exc
+
+
 def _decomposition(g: Graph, args) -> TreeDecomposition:
     if args.td:
         td = _load_td(args.td)
-        problems = validate_td(g, td)
+        problems = _problems(g, td)
         if problems:
             raise CliError(2, "; ".join(problems))
         return td
@@ -189,7 +196,7 @@ def cmd_decompose(args) -> int:
 def cmd_validate(args) -> int:
     g = _load_graph(args.graph)
     td = _load_td(args.td)
-    problems = validate_td(g, td)
+    problems = _problems(g, td)
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -237,6 +244,8 @@ def _random_partial_ktree(rng: random.Random, n: int, width: int, keep: float) -
 
 
 def cmd_bench(args) -> int:
+    if args.n < 1:
+        raise CliError(2, f"--n must be at least 1, got {args.n}")
     rng = random.Random(args.seed)
     g = _random_partial_ktree(rng, args.n, args.width, args.keep)
     td = min_fill_decompose(g)

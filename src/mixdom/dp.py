@@ -10,6 +10,13 @@ Rows are keyed by the full state tuple (vertex states in ascending vertex
 id order, then edge states in ascending edge order).  A row's states pin
 down exactly which bag elements its partial solutions select, which is
 what makes min-cost deduplication sound.
+
+Bag operations follow the paper's rules: an introduce merges the child's
+table with the bag-local table through the ⋆_int/∗_int combination tables
+(introduce_combine), a join merges its two children's tables through
+⋆_join/∗_join (join_combine), and a forget projects the vanished vertex
+away (forget_reduce).  run_dp uses the same merges and leaves out only
+pairs that cannot add a row; the shortcuts section below says which.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Graph, is_mixed_dominating_set
-from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN
+from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
 from .treedec import NiceTreeDecomposition
 from .walk import walk
 
@@ -138,15 +145,6 @@ class StateTable:
         return len(self.rows)
 
 
-def _witness_mask(g: Graph, vertices, edges) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    for e in edges:
-        mask |= 1 << (g.vertex_count + e)
-    return mask
-
-
 def enumerate_btable(
     g: Graph,
     bag_vertices,
@@ -156,12 +154,28 @@ def enumerate_btable(
     """Bag-local table: one row per subset of the bag's vertices and
     induced edges, with states derived straight from the subset."""
     layout = BagLayout(g, bag_vertices)
+    return _local_rows(g, layout, (1 << layout.width) - 1, track_witnesses, cost_cap)
+
+
+def _local_rows(
+    g: Graph,
+    layout: BagLayout,
+    free: int,
+    track_witnesses: bool,
+    cost_cap: int | None,
+) -> StateTable:
+    """Bag-local rows of every selection among the slots in the bitmask
+    free (bit p is slot p of layout); the other slots stay unselected.
+    Selections are inserted cheapest first."""
     table = StateTable(layout, track_witnesses, cost_cap)
     k = len(layout.vertices)
     m = len(layout.edges)
-    for bits in range(1 << (k + m)):
-        if cost_cap is not None and bin(bits).count("1") > cost_cap:
-            continue
+    slots = [p for p in range(layout.width) if free >> p & 1]
+    for choice in sorted(range(1 << len(slots)), key=int.bit_count):
+        bits = 0
+        for t, p in enumerate(slots):
+            if choice >> t & 1:
+                bits |= 1 << p
         member_v = [bits >> i & 1 for i in range(k)]
         member_e = [bits >> (k + j) & 1 for j in range(m)]
         edge_states = []
@@ -191,17 +205,19 @@ def enumerate_btable(
                     vertex_states.append(6 if uncovered else 4)
                 else:
                     vertex_states.append(7 if uncovered else 5)
-        cost = sum(member_v) + sum(member_e)
         witnesses = None
         if track_witnesses:
-            witnesses = {
-                _witness_mask(
-                    g,
-                    (layout.vertices[i] for i in range(k) if member_v[i]),
-                    (layout.edges[j] for j in range(m) if member_e[j]),
-                )
-            }
-        table.insert(tuple(vertex_states) + tuple(edge_states), cost, witnesses)
+            mask = 0
+            for i in range(k):
+                if member_v[i]:
+                    mask |= 1 << layout.vertices[i]
+            for j in range(m):
+                if member_e[j]:
+                    mask |= 1 << (g.vertex_count + layout.edges[j])
+            witnesses = {mask}
+        table.insert(
+            tuple(vertex_states) + tuple(edge_states), choice.bit_count(), witnesses
+        )
     return table
 
 
@@ -217,6 +233,16 @@ def leaf_table(
     if len(bag) != 1:
         raise ValueError(f"leaf bag must be a single vertex, got {sorted(bag)}")
     return enumerate_btable(g, bag, track_witnesses, cost_cap)
+
+
+def _member_mask(states, k: int) -> int:
+    """Bitmask of the slots whose element a row selects: vertex slots
+    (the first k) in state 1 or 2, edge slots in state 1."""
+    mask = 0
+    for p, s in enumerate(states):
+        if s == 1 or (s == 2 and p < k):
+            mask |= 1 << p
+    return mask
 
 
 def _resolve_vertices(
@@ -264,7 +290,8 @@ def introduce_combine(
     a second pass: edge cells from the child states of their endpoints,
     then vertex cells from the resolved edge slots and neighbor states.
     The cost of a pair is the sum of both costs minus the elements both
-    sides selected (counted once per shared member slot).
+    sides selected (counted once per shared member slot); pairs costing
+    more than cost_cap are skipped before their states are worked out.
     """
     layout = btable.layout
     child = stable_child.layout
@@ -278,54 +305,45 @@ def introduce_combine(
     vmap = [child.vpos.get(v) for v in layout.vertices]
     emap = [child.epos.get(e) for e in layout.edges]
 
+    local = [
+        (bkey, bcost, bwit, _member_mask(bkey, k))
+        for bkey, (bcost, bwit) in btable.rows.items()
+    ]
     for ckey, (ccost, cwit) in stable_child.rows.items():
-        for bkey, (bcost, bwit) in btable.rows.items():
+        # the child row's states in bag slot order
+        cv = [ckey[p] if p is not None else 0 for p in vmap]
+        ce = [ckey[p] if p is not None else 0 for p in emap]
+        cmask = _member_mask(cv + ce, k)
+        for bkey, bcost, bwit, bmask in local:
+            cost = ccost + bcost - (cmask & bmask).bit_count()
+            if cost_cap is not None and cost > cost_cap:
+                continue
             candidates: list[tuple[int, ...]] = []
-            overlap = 0
-            poisoned = False
             for i in range(k):
-                b = bkey[i]
-                s = ckey[vmap[i]] if vmap[i] is not None else 0
+                b, s = bkey[i], cv[i]
                 cell = STAR_INT[b][s]
                 if cell is None:
-                    poisoned = True
-                    break
+                    raise PoisonCellError(f"star_int({b}, {s}) is unreachable")
                 candidates.append(cell)
-                if b in MEMBER_VERTEX_STATES and s in MEMBER_VERTEX_STATES:
-                    overlap += 1
-            if poisoned:
-                continue
             edge_states: list[int] = []
             for j in range(m):
-                b = bkey[k + j]
-                s = ckey[emap[j]] if emap[j] is not None else 0
+                b, s = bkey[k + j], ce[j]
                 cell = AST_INT[b][s]
                 if cell is None:
-                    poisoned = True
-                    break
+                    raise PoisonCellError(f"ast_int({b}, {s}) is unreachable")
                 if len(cell) == 1:
                     edge_states.append(cell[0])
                 else:
                     # bag-locally undominated edge: dominated in the union
                     # iff an endpoint brings earlier membership or an
                     # earlier selected edge (child state 1, 2 or 3)
-                    a, bpos = layout.edge_endpoints[j]
-                    dominated = False
-                    for vp in (a, bpos):
-                        cs = ckey[vmap[vp]] if vmap[vp] is not None else 0
-                        if cs in (1, 2, 3):
-                            dominated = True
-                            break
+                    x, y = layout.edge_endpoints[j]
+                    dominated = cv[x] in (1, 2, 3) or cv[y] in (1, 2, 3)
                     edge_states.append(2 if dominated else 3)
-                if b == 1 and s == 1:
-                    overlap += 1
-            if poisoned:
-                continue
             vertex_states = _resolve_vertices(layout, candidates, edge_states)
-            cost = ccost + bcost - overlap
             witnesses = None
             if track:
-                witnesses = {cw | bw for cw in cwit for bw in bwit}
+                witnesses = {cw | bw for bw in bwit for cw in cwit}
             result.insert(tuple(vertex_states) + tuple(edge_states), cost, witnesses)
     return result
 
@@ -395,52 +413,43 @@ def join_combine(
     """
     if stable_a.layout != stable_b.layout:
         raise ValueError("join children must share the same bag layout")
-    return _join_pairs(
+    result = StateTable(
         stable_a.layout,
         stable_a.track_witnesses and stable_b.track_witnesses,
-        stable_a.rows.items(),
-        stable_b.rows.items(),
         cost_cap,
     )
+    _join_pairs(result, stable_a.rows.items(), stable_b.rows.items())
+    return result
 
 
-def _join_pairs(
-    layout: BagLayout,
-    track: bool,
-    rows_a,
-    rows_b,
-    cost_cap: int | None = None,
-) -> StateTable:
-    result = StateTable(layout, track, cost_cap)
+def _join_pairs(result: StateTable, rows_a, rows_b) -> None:
+    """Insert into result the merge of every row of rows_a with every row
+    of rows_b; result's layout is the bag both sides share."""
+    layout = result.layout
+    track = result.track_witnesses
     k = len(layout.vertices)
     m = len(layout.edges)
     for akey, (acost, awit) in rows_a:
         for bkey, (bcost, bwit) in rows_b:
-            poisoned = False
             candidates: list[tuple[int, ...]] = []
             overlap = 0
             for i in range(k):
-                cell = STAR_JOIN[akey[i]][bkey[i]]
+                sa, sb = akey[i], bkey[i]
+                cell = STAR_JOIN[sa][sb]
                 if cell is None:
-                    poisoned = True
-                    break
+                    raise PoisonCellError(f"star_join({sa}, {sb}) is unreachable")
                 candidates.append(cell)
-                if akey[i] in MEMBER_VERTEX_STATES and bkey[i] in MEMBER_VERTEX_STATES:
+                if sa in MEMBER_VERTEX_STATES and sb in MEMBER_VERTEX_STATES:
                     overlap += 1
-            if poisoned:
-                continue
             edge_states: list[int] = []
             for j in range(m):
                 sa, sb = akey[k + j], bkey[k + j]
                 cell = AST_JOIN[sa][sb]
                 if cell is None:
-                    poisoned = True
-                    break
+                    raise PoisonCellError(f"ast_join({sa}, {sb}) is unreachable")
                 edge_states.append(cell[0])
                 if sa == 1 and sb == 1:
                     overlap += 1
-            if poisoned:
-                continue
             vertex_states = _resolve_vertices(layout, candidates, edge_states)
             witnesses = None
             if track:
@@ -450,21 +459,20 @@ def _join_pairs(
                 acost + bcost - overlap,
                 witnesses,
             )
-    return result
 
 
-# -- fast paths used by run_dp ---------------------------------------------
+# -- shortcuts run_dp takes -------------------------------------------------
 #
 # The cumulative tables are closed under adding bag elements to a partial
 # solution (domination only improves, so survival at earlier forgets is
-# preserved).  Hence at an introduce bag, any bag-local row re-selecting
-# elements the child already knows is redundant: the same union is also
-# produced by pairing the enriched child row with a smaller local row, at
-# the same cost and witnesses.  run_dp therefore only branches on the new
-# vertex and its new edges.  At a join, pairs disagreeing on membership
-# are redundant for the same reason, so rows are paired within groups
-# sharing the selected bag elements.  test_dp.py checks both shortcuts
-# against the full pairing operations.
+# preserved).  So at an introduce bag, a bag-local row that re-selects
+# elements the child already knows adds nothing: pairing the enriched
+# child row with a smaller local row gives the same union at the same cost
+# and witnesses.  run_dp therefore merges the child only with the local
+# rows that select among the new vertex and its new edges.  At a join,
+# pairs disagreeing on membership are redundant for the same reason, so
+# rows are paired within groups sharing the selected bag elements.
+# test_dp.py checks both shortcuts against the full pairing operations.
 
 
 def _introduce_extend(
@@ -477,126 +485,13 @@ def _introduce_extend(
     if v_new in child.vpos:
         raise ValueError(f"vertex {v_new} is already in the bag")
     layout = BagLayout(g, child.vertices + (v_new,))
-    track = stable_child.track_witnesses
-    result = StateTable(layout, track, cost_cap)
-
-    k = len(layout.vertices)
-    pos_new = layout.vpos[v_new]
-    vmap = [child.vpos.get(v) for v in layout.vertices]
-    emap = [child.epos.get(e) for e in layout.edges]
-    new_edge_pos = [k + j for j, e in enumerate(layout.edges) if emap[j] is None]
-    # for each new edge, the slot of its old endpoint
-    old_end = []
-    for p in new_edge_pos:
-        a, b = layout.edge_endpoints[p - k]
-        old_end.append(b if a == pos_new else a)
-    n_new = len(new_edge_pos)
-    adjacent_new = set(layout.neighbors[pos_new])
-    nbit = g.vertex_count
-    # new-edge selections cheapest first, so a cost cap can stop each row's
-    # scan as soon as the budget is spent
-    selections = sorted(
-        ((bin(x).count("1"), x) for x in range(1 << n_new))
-    )
-
-    for ckey, (ccost, cwit) in stable_child.rows.items():
-        base = [0] * layout.width
-        for i in range(k):
-            if vmap[i] is not None:
-                base[i] = ckey[vmap[i]]
-        for j, cp in enumerate(emap):
-            if cp is not None:
-                base[k + j] = ckey[cp]
-        for dv in (0, 1):
-            budget = None if cost_cap is None else cost_cap - ccost - dv
-            for n_sel, ebits in selections:
-                if budget is not None and n_sel > budget:
-                    break
-                states = base.copy()
-                any_new_md = ebits != 0
-                # new edge states
-                for t, p in enumerate(new_edge_pos):
-                    if ebits >> t & 1:
-                        states[p] = 1
-                    else:
-                        other_md = ebits & ~(1 << t)
-                        old_state = base[old_end[t]]
-                        if dv or other_md or old_state in (1, 2, 3):
-                            states[p] = 2
-                        else:
-                            states[p] = 3
-                # selected new edges dominate old undominated edges at
-                # their old endpoint
-                if any_new_md:
-                    md_old_ends = {
-                        old_end[t] for t in range(n_new) if ebits >> t & 1
-                    }
-                    for j in range(len(layout.edges)):
-                        p = k + j
-                        if states[p] == 3 and emap[j] is not None:
-                            a, b = layout.edge_endpoints[j]
-                            if a in md_old_ends or b in md_old_ends:
-                                states[p] = 2
-                # old vertices
-                for i in range(k):
-                    if i == pos_new:
-                        continue
-                    su = base[i]
-                    gained_md = any(
-                        ebits >> t & 1 and old_end[t] == i for t in range(n_new)
-                    )
-                    if su in (1, 2):
-                        states[i] = 1 if (su == 1 or gained_md) else 2
-                    elif gained_md:
-                        states[i] = 3
-                    elif su == 3:
-                        states[i] = 3
-                    elif su in (8, 9):
-                        dominated = su == 8 or (dv and i in adjacent_new)
-                        states[i] = 8 if dominated else 9
-                    else:
-                        dominated = su in (4, 6) or (dv and i in adjacent_new)
-                        uncovered = any(
-                            states[p] == 3 for p in layout.incident[i]
-                        )
-                        if dominated:
-                            states[i] = 6 if uncovered else 4
-                        else:
-                            states[i] = 7 if uncovered else 5
-                # the introduced vertex
-                if dv:
-                    states[pos_new] = 1 if any_new_md else 2
-                elif any_new_md:
-                    states[pos_new] = 3
-                else:
-                    dominated = any(
-                        base[a] in MEMBER_VERTEX_STATES
-                        for a in layout.neighbors[pos_new]
-                    )
-                    uncovered = any(
-                        states[p] == 3 for p in layout.incident[pos_new]
-                    )
-                    if dominated:
-                        states[pos_new] = 6 if uncovered else 4
-                    else:
-                        states[pos_new] = 7 if uncovered else 5
-                cost = ccost + dv + n_sel
-                witnesses = None
-                if track:
-                    add = (1 << v_new) if dv else 0
-                    for t, p in enumerate(new_edge_pos):
-                        if ebits >> t & 1:
-                            add |= 1 << (nbit + layout.edges[p - k])
-                    witnesses = {w | add for w in cwit}
-                result.insert(tuple(states), cost, witnesses)
-    return result
-
-
-def _membership_signature(key: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return tuple(
-        1 if (s in MEMBER_VERTEX_STATES if i < k else s == 1) else 0
-        for i, s in enumerate(key)
-    )
+    pos = layout.vpos[v_new]
+    # the new vertex and its bag edges, all of which are new
+    free = 1 << pos
+    for p in layout.incident[pos]:
+        free |= 1 << p
+    local = _local_rows(g, layout, free, stable_child.track_witnesses, cost_cap)
+    return introduce_combine(g, stable_child, local, cost_cap)
 
 
 def _join_grouped(
@@ -609,21 +504,18 @@ def _join_grouped(
         raise ValueError("join children must share the same bag layout")
     layout = stable_a.layout
     k = len(layout.vertices)
-    groups_a: dict[tuple[int, ...], list] = {}
+    groups_a: dict[int, list] = {}
     for item in stable_a.rows.items():
-        groups_a.setdefault(_membership_signature(item[0], k), []).append(item)
-    groups_b: dict[tuple[int, ...], list] = {}
+        groups_a.setdefault(_member_mask(item[0], k), []).append(item)
+    groups_b: dict[int, list] = {}
     for item in stable_b.rows.items():
-        groups_b.setdefault(_membership_signature(item[0], k), []).append(item)
+        groups_b.setdefault(_member_mask(item[0], k), []).append(item)
     track = stable_a.track_witnesses and stable_b.track_witnesses
     result = StateTable(layout, track, cost_cap)
     for sig, rows_a in groups_a.items():
         rows_b = groups_b.get(sig)
-        if not rows_b:
-            continue
-        part = _join_pairs(layout, track, rows_a, rows_b, cost_cap)
-        for key, (cost, wit) in part.rows.items():
-            result.insert(key, cost, wit)
+        if rows_b:
+            _join_pairs(result, rows_a, rows_b)
     return result
 
 

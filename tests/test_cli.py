@@ -171,3 +171,29 @@ def test_solve_on_a_long_path(capsys, tmp_path, default_recursion_limit, algo):
     report = run_json(capsys, "solve", "--graph", str(path), "--algo", algo)
     assert report["gamma"] == 600
     assert report["width"] == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "trace", "validate"])
+@pytest.mark.parametrize(
+    "td_text, message",
+    [
+        ("s td 1 3 5\nb 1 1 2 5\n", "out-of-range vertex"),
+        ("s td 0 0 3\n", "missing bag"),
+    ],
+)
+def test_unusable_decomposition_exits_two(capsys, tmp_path, command, td_text, message):
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p tw 3 2\n1 2\n2 3\n")
+    td = tmp_path / "bad.td"
+    td.write_text(td_text)
+    rc, _, err = run_cli(capsys, command, "--graph", str(graph), "--td", str(td))
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_bench_rejects_an_empty_graph_size(capsys, n):
+    rc, out, err = run_cli(capsys, "bench", "--n", n)
+    assert rc == 2
+    assert out == ""
+    assert "--n" in err
