@@ -4,9 +4,9 @@ Subcommands: solve (dynamic programs or exhaustive search), decompose,
 validate, oracle, trace, and bench.  Graphs and decompositions travel in
 the 1-based text formats of graph.parse_gr and treedec.parse_td.
 
-Exit codes: 0 success, 1 unreadable or malformed input, 2 decomposition
-problems (validation failure, mismatch with the graph, unusable options),
-3 exhaustive search refused by the size guard.
+Exit codes: 0 success, 1 unreadable or malformed input or unwritable
+output, 2 decomposition problems (validation failure, mismatch with the
+graph, unusable options), 3 exhaustive search refused by the size guard.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise CliError(1, f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(1, f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> Graph:
@@ -105,7 +112,7 @@ def _family(g: Graph, masks) -> list[dict]:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -163,9 +170,7 @@ def cmd_solve(args) -> int:
                 )
                 gamma, min_sets = res.gamma, res.min_sets
                 if args.trace:
-                    Path(args.trace).write_text(
-                        _render_trace(g, ntd, tau, res.tables)
-                    )
+                    _write_text(args.trace, _render_trace(g, ntd, tau, res.tables))
         except ValueError as exc:
             raise CliError(2, str(exc)) from exc
     seconds = time.perf_counter() - started

@@ -14,9 +14,10 @@ what makes min-cost deduplication sound.
 Bag operations follow the paper's rules: an introduce merges the child's
 table with the bag-local table through the ⋆_int/∗_int combination tables
 (introduce_combine), a join merges its two children's tables through
-⋆_join/∗_join (join_combine), and a forget projects the vanished vertex
-away (forget_reduce).  run_dp uses the same merges and leaves out only
-pairs that cannot add a row; the shortcuts section below says which.
+⋆_join/∗_join (join_combine), both in one pair-merge kernel
+(_merge_pairs), and a forget projects the vanished vertex away
+(forget_reduce).  run_dp uses the same kernel and leaves out only pairs
+that cannot add a row; the shortcuts section below says which.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class BagLayout:
         self.edges: tuple[int, ...] = tuple(dict.fromkeys(eids))
         self.vpos = {v: i for i, v in enumerate(self.vertices)}
         k = len(self.vertices)
-        self.edge_offset = k
         self.epos = {e: k + j for j, e in enumerate(self.edges)}
         self.width = k + len(self.edges)
         # per vertex position: positions of its incident bag edges, and of
@@ -100,29 +100,23 @@ class StateTable:
     enumeration is off, else the set of global element bitmasks achieving
     that cost.
 
-    cost_cap, when set, silently drops rows costing more.  Costs never
-    decrease along the dynamic program (introduces add selections, forgets
-    keep cost, joins charge at least each side's cost), so capping at the
-    size of any known mixed dominating set is lossless for the optimum and
-    for enumeration while keeping tables small on dense bags.  The tighter
-    per-bag cost window that run_dp adds under a cap lives in walk.py,
-    together with its soundness argument.
+    A table holds no cost cap.  Costs never decrease along the dynamic
+    program (introduces add selections, forgets keep cost, joins charge at
+    least each side's cost), so the operations drop a row over the cap
+    where its cost is formed: _local_rows stops at the cap and
+    _merge_pairs skips over-cap pairs.  Capping at the size of any known
+    mixed dominating set is lossless for the optimum and for enumeration
+    while keeping tables small on dense bags.  The tighter per-bag cost
+    window that run_dp adds under a cap lives in walk.py, together with
+    its soundness argument.
     """
 
-    def __init__(
-        self,
-        layout: BagLayout,
-        track_witnesses: bool,
-        cost_cap: int | None = None,
-    ):
+    def __init__(self, layout: BagLayout, track_witnesses: bool):
         self.layout = layout
         self.track_witnesses = track_witnesses
-        self.cost_cap = cost_cap
         self.rows: dict[tuple[int, ...], list] = {}
 
     def insert(self, key: tuple[int, ...], cost: int, witnesses: set[int] | None) -> None:
-        if self.cost_cap is not None and cost > self.cost_cap:
-            return
         entry = self.rows.get(key)
         if entry is None:
             self.rows[key] = [cost, set(witnesses) if witnesses is not None else None]
@@ -166,12 +160,14 @@ def _local_rows(
 ) -> StateTable:
     """Bag-local rows of every selection among the slots in the bitmask
     free (bit p is slot p of layout); the other slots stay unselected.
-    Selections are inserted cheapest first."""
-    table = StateTable(layout, track_witnesses, cost_cap)
+    Selections are inserted cheapest first, up to cost_cap."""
+    table = StateTable(layout, track_witnesses)
     k = len(layout.vertices)
     m = len(layout.edges)
     slots = [p for p in range(layout.width) if free >> p & 1]
     for choice in sorted(range(1 << len(slots)), key=int.bit_count):
+        if cost_cap is not None and choice.bit_count() > cost_cap:
+            break
         bits = 0
         for t, p in enumerate(slots):
             if choice >> t & 1:
@@ -253,10 +249,10 @@ def _resolve_vertices(
     """Second pass of a combine: fix multi-candidate vertex cells from the
     already-resolved edge slots and the single-valued neighbor states."""
     out = [c[0] if len(c) == 1 else 0 for c in candidates]
+    k = len(layout.vertices)
     for i, cands in enumerate(candidates):
         if len(cands) == 1:
             continue
-        k = layout.edge_offset
         uncovered = any(edge_states[p - k] == 3 for p in layout.incident[i])
         if cands == (4, 6) or cands == (5, 7):
             out[i] = cands[1] if uncovered else cands[0]
@@ -283,77 +279,31 @@ def introduce_combine(
     cost_cap: int | None = None,
 ) -> StateTable:
     """Merge a child's cumulative table with the bag-local table of an
-    introduce bag, pairing every row of one with every row of the other.
+    introduce bag, pairing every row of one with every row of the other
+    through ⋆_int/∗_int (see _merge_pairs).
 
     Vertex and edge slots are matched by identity; slots the child does
-    not know carry state 0 on its side.  Multi-candidate cells resolve in
-    a second pass: edge cells from the child states of their endpoints,
-    then vertex cells from the resolved edge slots and neighbor states.
-    The cost of a pair is the sum of both costs minus the elements both
-    sides selected (counted once per shared member slot); pairs costing
-    more than cost_cap are skipped before their states are worked out.
+    not know carry state 0 on its side.
     """
     layout = btable.layout
     child = stable_child.layout
     if not set(child.vertices) <= set(layout.vertices):
         raise ValueError("child bag is not contained in the introduce bag")
     track = stable_child.track_witnesses and btable.track_witnesses
-    result = StateTable(layout, track, cost_cap)
+    result = StateTable(layout, track)
     k = len(layout.vertices)
-    m = len(layout.edges)
     # child slot index (or None) for each bag slot
-    vmap = [child.vpos.get(v) for v in layout.vertices]
-    emap = [child.epos.get(e) for e in layout.edges]
-
-    local = [
-        (bkey, bcost, bwit, _member_mask(bkey, k))
-        for bkey, (bcost, bwit) in btable.rows.items()
-    ]
+    slots = [child.vpos.get(v) for v in layout.vertices]
+    slots += [child.epos.get(e) for e in layout.edges]
+    aligned = []
     for ckey, (ccost, cwit) in stable_child.rows.items():
-        # the child row's states in bag slot order
-        cv = [ckey[p] if p is not None else 0 for p in vmap]
-        ce = [ckey[p] if p is not None else 0 for p in emap]
-        cmask = _member_mask(cv + ce, k)
-        for bkey, bcost, bwit, bmask in local:
-            cost = ccost + bcost - (cmask & bmask).bit_count()
-            if cost_cap is not None and cost > cost_cap:
-                continue
-            candidates: list[tuple[int, ...]] = []
-            for i in range(k):
-                b, s = bkey[i], cv[i]
-                cell = STAR_INT[b][s]
-                if cell is None:
-                    raise PoisonCellError(f"star_int({b}, {s}) is unreachable")
-                candidates.append(cell)
-            edge_states: list[int] = []
-            for j in range(m):
-                b, s = bkey[k + j], ce[j]
-                cell = AST_INT[b][s]
-                if cell is None:
-                    raise PoisonCellError(f"ast_int({b}, {s}) is unreachable")
-                if len(cell) == 1:
-                    edge_states.append(cell[0])
-                else:
-                    # bag-locally undominated edge: dominated in the union
-                    # iff an endpoint brings earlier membership or an
-                    # earlier selected edge (child state 1, 2 or 3)
-                    x, y = layout.edge_endpoints[j]
-                    dominated = cv[x] in (1, 2, 3) or cv[y] in (1, 2, 3)
-                    edge_states.append(2 if dominated else 3)
-            vertex_states = _resolve_vertices(layout, candidates, edge_states)
-            witnesses = None
-            if track:
-                witnesses = {cw | bw for bw in bwit for cw in cwit}
-            result.insert(tuple(vertex_states) + tuple(edge_states), cost, witnesses)
+        states = [ckey[p] if p is not None else 0 for p in slots]
+        aligned.append((states, ccost, cwit, _member_mask(states, k)))
+    _merge_pairs(result, _rows(btable), aligned, STAR_INT, AST_INT, cost_cap)
     return result
 
 
-def forget_reduce(
-    g: Graph,
-    stable_child: StateTable,
-    forgotten: int,
-    cost_cap: int | None = None,
-) -> StateTable:
+def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTable:
     """Remove a vertex from the table, dropping rows it invalidates.
 
     A row dies when the forgotten vertex is undominated (5, 7, 9) or
@@ -361,18 +311,18 @@ def forget_reduce(
     later can fix either.  When it leaves behind undominated bag edges
     (state 6), each such edge's surviving endpoint is marked as carrying a
     forgotten undominated edge (4 or 6 becomes 8, 5 or 7 becomes 9); only
-    a future selected edge at that endpoint can clear the mark.
+    a future selected edge at that endpoint can clear the mark.  Costs are
+    kept, so a forget needs no cost cap.
     """
     child = stable_child.layout
     if forgotten not in child.vpos:
         raise ValueError(f"vertex {forgotten} is not in the bag")
     layout = BagLayout(g, [v for v in child.vertices if v != forgotten])
-    result = StateTable(layout, stable_child.track_witnesses, cost_cap)
+    result = StateTable(layout, stable_child.track_witnesses)
     upos = child.vpos[forgotten]
     k = len(child.vertices)
     keep_v = [i for i in range(k) if i != upos]
     keep_e = [child.epos[e] for e in layout.edges]
-    u_edges = [p for p in child.incident[upos]]
 
     for ckey, (cost, wit) in stable_child.rows.items():
         su = ckey[upos]
@@ -380,7 +330,7 @@ def forget_reduce(
             continue
         states = list(ckey)
         if su == 6:
-            for p in u_edges:
+            for p in child.incident[upos]:
                 if states[p] != 3:
                     continue
                 a, b = child.edge_endpoints[p - k]
@@ -395,7 +345,7 @@ def forget_reduce(
                         f"endpoint of an undominated edge in state {sx}"
                     )
         key = tuple(states[i] for i in keep_v) + tuple(states[p] for p in keep_e)
-        result.insert(key, cost, set(wit) if wit is not None else None)
+        result.insert(key, cost, wit)
     return result
 
 
@@ -405,7 +355,8 @@ def join_combine(
     stable_b: StateTable,
     cost_cap: int | None = None,
 ) -> StateTable:
-    """Merge the tables of a join bag's two children pairwise.
+    """Merge the tables of a join bag's two children pairwise through
+    ⋆_join/∗_join (see _merge_pairs).
 
     Both children share the bag, so slots line up one to one.  Edge cells
     are single-valued; the two-candidate vertex cells pick their first
@@ -414,51 +365,71 @@ def join_combine(
     if stable_a.layout != stable_b.layout:
         raise ValueError("join children must share the same bag layout")
     result = StateTable(
-        stable_a.layout,
-        stable_a.track_witnesses and stable_b.track_witnesses,
-        cost_cap,
+        stable_a.layout, stable_a.track_witnesses and stable_b.track_witnesses
     )
-    _join_pairs(result, stable_a.rows.items(), stable_b.rows.items())
+    _merge_pairs(
+        result, _rows(stable_a), _rows(stable_b), STAR_JOIN, AST_JOIN, cost_cap
+    )
     return result
 
 
-def _join_pairs(result: StateTable, rows_a, rows_b) -> None:
-    """Insert into result the merge of every row of rows_a with every row
-    of rows_b; result's layout is the bag both sides share."""
+def _rows(table: StateTable) -> list[tuple]:
+    """The table's rows as (states, cost, witnesses, member mask) tuples."""
+    k = len(table.layout.vertices)
+    return [
+        (key, cost, wit, _member_mask(key, k))
+        for key, (cost, wit) in table.rows.items()
+    ]
+
+
+def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> None:
+    """Insert into result the union of every row of rows_a with every row
+    of rows_b.  Rows are (states, cost, witnesses, member mask) tuples in
+    result's slot order; star and ast are the vertex and edge combination
+    tables, indexed (state in rows_a, state in rows_b).
+
+    A pair costs both costs minus the elements both sides select.  Pairs
+    over cost_cap are skipped before their states are worked out.  A
+    multi-candidate edge cell (the introduce's bag-locally undominated
+    edge) is dominated iff an endpoint's cell is a member or carries a
+    selected edge (1, 2 or 3); vertex cells then go to _resolve_vertices.
+    """
     layout = result.layout
     track = result.track_witnesses
     k = len(layout.vertices)
-    m = len(layout.edges)
-    for akey, (acost, awit) in rows_a:
-        for bkey, (bcost, bwit) in rows_b:
+    for akey, acost, awit, amask in rows_a:
+        for bkey, bcost, bwit, bmask in rows_b:
+            cost = acost + bcost - (amask & bmask).bit_count()
+            if cost_cap is not None and cost > cost_cap:
+                continue
             candidates: list[tuple[int, ...]] = []
-            overlap = 0
             for i in range(k):
-                sa, sb = akey[i], bkey[i]
-                cell = STAR_JOIN[sa][sb]
+                cell = star[akey[i]][bkey[i]]
                 if cell is None:
-                    raise PoisonCellError(f"star_join({sa}, {sb}) is unreachable")
+                    raise PoisonCellError(
+                        f"vertex cell {akey[i], bkey[i]} is unreachable"
+                    )
                 candidates.append(cell)
-                if sa in MEMBER_VERTEX_STATES and sb in MEMBER_VERTEX_STATES:
-                    overlap += 1
             edge_states: list[int] = []
-            for j in range(m):
-                sa, sb = akey[k + j], bkey[k + j]
-                cell = AST_JOIN[sa][sb]
+            for p in range(k, layout.width):
+                cell = ast[akey[p]][bkey[p]]
                 if cell is None:
-                    raise PoisonCellError(f"ast_join({sa}, {sb}) is unreachable")
-                edge_states.append(cell[0])
-                if sa == 1 and sb == 1:
-                    overlap += 1
+                    raise PoisonCellError(
+                        f"edge cell {akey[p], bkey[p]} is unreachable"
+                    )
+                if len(cell) == 1:
+                    edge_states.append(cell[0])
+                else:
+                    x, y = layout.edge_endpoints[p - k]
+                    if candidates[x][0] in (1, 2, 3) or candidates[y][0] in (1, 2, 3):
+                        edge_states.append(2)
+                    else:
+                        edge_states.append(3)
             vertex_states = _resolve_vertices(layout, candidates, edge_states)
             witnesses = None
             if track:
                 witnesses = {aw | bw for aw in awit for bw in bwit}
-            result.insert(
-                tuple(vertex_states) + tuple(edge_states),
-                acost + bcost - overlap,
-                witnesses,
-            )
+            result.insert(tuple(vertex_states) + tuple(edge_states), cost, witnesses)
 
 
 # -- shortcuts run_dp takes -------------------------------------------------
@@ -471,8 +442,9 @@ def _join_pairs(result: StateTable, rows_a, rows_b) -> None:
 # and witnesses.  run_dp therefore merges the child only with the local
 # rows that select among the new vertex and its new edges.  At a join,
 # pairs disagreeing on membership are redundant for the same reason, so
-# rows are paired within groups sharing the selected bag elements.
-# test_dp.py checks both shortcuts against the full pairing operations.
+# rows are paired within groups sharing the selected bag elements.  Both
+# shortcuts feed the same _merge_pairs as the full operations.
+# test_dp.py checks both against the full pairing operations.
 
 
 def _introduce_extend(
@@ -502,20 +474,16 @@ def _join_grouped(
 ) -> StateTable:
     if stable_a.layout != stable_b.layout:
         raise ValueError("join children must share the same bag layout")
-    layout = stable_a.layout
-    k = len(layout.vertices)
-    groups_a: dict[int, list] = {}
-    for item in stable_a.rows.items():
-        groups_a.setdefault(_member_mask(item[0], k), []).append(item)
-    groups_b: dict[int, list] = {}
-    for item in stable_b.rows.items():
-        groups_b.setdefault(_member_mask(item[0], k), []).append(item)
-    track = stable_a.track_witnesses and stable_b.track_witnesses
-    result = StateTable(layout, track, cost_cap)
-    for sig, rows_a in groups_a.items():
-        rows_b = groups_b.get(sig)
-        if rows_b:
-            _join_pairs(result, rows_a, rows_b)
+    # member mask -> (rows of a, rows of b) selecting exactly those elements
+    groups: dict[int, tuple[list, list]] = {}
+    for side, table in enumerate((stable_a, stable_b)):
+        for row in _rows(table):
+            groups.setdefault(row[3], ([], []))[side].append(row)
+    result = StateTable(
+        stable_a.layout, stable_a.track_witnesses and stable_b.track_witnesses
+    )
+    for rows_a, rows_b in groups.values():
+        _merge_pairs(result, rows_a, rows_b, STAR_JOIN, AST_JOIN, cost_cap)
     return result
 
 
@@ -541,7 +509,7 @@ class _NineState:
         return _introduce_extend(g, child, vertex, cost_cap)
 
     def forget(self, g, child, vertex, cost_cap):
-        return forget_reduce(g, child, vertex, cost_cap)
+        return forget_reduce(g, child, vertex)
 
     def join(self, g, left, right, cost_cap):
         return _join_grouped(g, left, right, cost_cap)
@@ -606,13 +574,13 @@ def run_dp(
     return DPResult(gamma, min_sets, tables)
 
 
-def render_table(t: StateTable, one_based: bool = True) -> str:
-    """Rows as "v-states | e-states | cost" lines under a slot header."""
-    shift = 1 if one_based else 0
+def render_table(t: StateTable) -> str:
+    """Rows as "v-states | e-states | cost" lines under a slot header,
+    vertices numbered 1-based as in the .gr file."""
     layout = t.layout
-    header_v = " ".join(str(v + shift) for v in layout.vertices)
+    header_v = " ".join(str(v + 1) for v in layout.vertices)
     header_e = " ".join(
-        f"({layout.vertices[a] + shift},{layout.vertices[b] + shift})"
+        f"({layout.vertices[a] + 1},{layout.vertices[b] + 1})"
         for a, b in layout.edge_endpoints
     )
     header = f"vertices: {header_v}"

@@ -28,8 +28,6 @@ ranges over 0..7.
 
 from __future__ import annotations
 
-Cell = "tuple[int, ...] | None"
-
 
 class PoisonCellError(Exception):
     """A state pairing that no valid table construction can produce."""

@@ -70,18 +70,20 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
 
     Checks that the bag graph is a tree, every vertex and edge of g is
     covered by a bag, and each vertex's bags form a connected subtree.
+    Messages name bags and vertices 1-based, as the .gr and .td files
+    number them.
     """
     violations: list[str] = []
     n_bags = len(td.bags)
     for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.vertex_count):
-                raise ValueError(f"bag {i} contains out-of-range vertex {v}")
+                raise ValueError(f"bag {i + 1} contains out-of-range vertex {v + 1}")
     for a, b in td.edges:
         if not (0 <= a < n_bags and 0 <= b < n_bags):
-            raise ValueError(f"tree edge ({a}, {b}) references a missing bag")
+            raise ValueError(f"tree edge ({a + 1}, {b + 1}) references a missing bag")
     if not (0 <= td.root < n_bags):
-        raise ValueError(f"root {td.root} references a missing bag")
+        raise ValueError(f"root {td.root + 1} references a missing bag")
 
     # tree structure: connected with exactly n_bags - 1 edges
     if len(td.edges) != n_bags - 1:
@@ -104,10 +106,10 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     covered = set().union(*td.bags) if td.bags else set()
     for v in range(g.vertex_count):
         if v not in covered:
-            violations.append(f"vertex {v} appears in no bag")
+            violations.append(f"vertex {v + 1} appears in no bag")
     for u, v in g.edges:
         if not any(u in bag and v in bag for bag in td.bags):
-            violations.append(f"edge ({u}, {v}) is contained in no bag")
+            violations.append(f"edge ({u + 1}, {v + 1}) is contained in no bag")
 
     # occurrence connectivity: the bags holding v must form a subtree
     for v in sorted(covered):
@@ -122,7 +124,7 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
                     reach.add(j)
                     stack.append(j)
         if reach != holding:
-            violations.append(f"bags containing vertex {v} are not connected")
+            violations.append(f"bags containing vertex {v + 1} are not connected")
     return violations
 
 
@@ -311,6 +313,8 @@ def parse_td(text: str) -> TreeDecomposition:
         elif parts[0] == "b":
             if header is None:
                 raise ValueError(f"line {line_num}: bag before header")
+            if len(parts) < 2:
+                raise ValueError(f"line {line_num}: bag line without a bag id")
             bag_id = int(parts[1])
             if not (1 <= bag_id <= header[0]):
                 raise ValueError(f"line {line_num}: bag id {bag_id} out of range")

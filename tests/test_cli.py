@@ -197,3 +197,31 @@ def test_bench_rejects_an_empty_graph_size(capsys, n):
     assert rc == 2
     assert out == ""
     assert "--n" in err
+
+
+def test_bag_line_without_an_id_exits_one(capsys, tmp_path):
+    td = tmp_path / "bad.td"
+    td.write_text("s td 1 2 5\nb\n")
+    rc, _, err = run_cli(capsys, "solve", "--graph", G1, "--td", str(td))
+    assert rc == 1
+    assert err.startswith("error:") and "line 2" in err
+
+
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+def test_unwritable_output_exits_one(capsys, tmp_path, option):
+    target = str(tmp_path / "absent" / "out.txt")
+    rc, out, err = run_cli(capsys, "solve", "--graph", G1, option, target)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "cannot write" in err
+
+
+def test_validate_names_vertices_as_the_files_do(capsys, tmp_path):
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p tw 3 2\n1 2\n2 3\n")
+    td = tmp_path / "short.td"
+    td.write_text("s td 1 2 3\nb 1 1 2\n")
+    rc, _, err = run_cli(capsys, "validate", "--graph", str(graph), "--td", str(td))
+    assert rc == 2
+    assert "vertex 3 appears in no bag" in err
+    assert "edge (2, 3) is contained in no bag" in err

@@ -283,6 +283,39 @@ def test_run_dp_shortcuts_match_full_pairing():
             assert snapshot(fast) == snapshot(slow)
 
 
+def test_capped_merges_equal_the_full_merges_cut_at_the_cap(g1, fig_ntd):
+    # a cap drops exactly the rows costing more and nothing else: the
+    # merge skips over-cap pairs before it works out their states
+    instances = [(g1, fig_ntd)]
+    instances += [
+        (g, make_very_nice(min_fill_decompose(g))) for g in small_cases()
+    ]
+    merged = {"introduce": 0, "join": 0}
+    for g, ntd in instances:
+        tau = postorder_traversal(ntd)
+        res = run_dp(g, ntd, tau=tau, enumerate_sets=True, collect_tables=True)
+        table_of = dict(zip(tau, res.tables))
+        for idx in tau:
+            node = ntd.nodes[idx]
+            if node.kind == "introduce":
+                child = table_of[node.children[0]]
+                operands = (child, enumerate_btable(g, node.bag))
+                merge = introduce_combine
+            elif node.kind == "join":
+                operands = tuple(table_of[c] for c in node.children)
+                merge = join_combine
+            else:
+                continue
+            full = snapshot(merge(g, *operands))
+            for cap in range(max(cost for cost, _ in full.values()) + 1):
+                capped = snapshot(merge(g, *operands, cost_cap=cap))
+                assert capped == {
+                    key: row for key, row in full.items() if row[0] <= cap
+                }, (write_case(g), idx, cap)
+            merged[node.kind] += 1
+    assert merged["introduce"] > 50 and merged["join"] > 10
+
+
 def test_run_dp_matches_oracle_on_tiny_graphs():
     for g in connected_graphs_up_to(4):
         ntd = make_very_nice(min_fill_decompose(g))

@@ -1,6 +1,8 @@
 """Both programs against the oracle on decompositions that are not the
 plain min-fill one: a single bag holding every vertex, min-fill rooted at
-any of its bags, and min-fill with one bag duplicated."""
+any of its bags, min-fill with one bag duplicated, min-fill with a tree
+edge split by the intersection of its two bags, and min-fill with a
+proper subset of one bag hung off that bag."""
 
 from __future__ import annotations
 
@@ -37,12 +39,30 @@ def test_programs_match_the_oracle_on_other_decompositions(g, data):
     duplicated = from_bags(
         td.bags + (td.bags[copied],), td.edges + ((copied, last + 1),), td.root
     )
+    # the bag B ∩ P between a bag B and its tree neighbour P
+    split = td
+    if td.edges:
+        cut = data.draw(st.integers(0, len(td.edges) - 1), label="split edge")
+        b, p = td.edges[cut]
+        edges = td.edges[:cut] + td.edges[cut + 1:] + ((b, last + 1), (last + 1, p))
+        split = from_bags(td.bags + (td.bags[b] & td.bags[p],), edges, td.root)
+    host = data.draw(st.integers(0, last), label="host bag")
+    bag = td.bags[host]
+    subset = data.draw(
+        st.sets(st.sampled_from(sorted(bag)), max_size=len(bag) - 1),
+        label="redundant bag",
+    )
+    redundant = from_bags(
+        td.bags + (subset,), td.edges + ((host, last + 1),), td.root
+    )
     # the one-bag decomposition introduces each vertex with an edge to
     # every earlier neighbor, the widest introduce there is
     decompositions = {
         "one bag": from_bags([range(n)], []),
         f"min-fill rooted at bag {root}": from_bags(td.bags, td.edges, root),
         f"min-fill with bag {copied} duplicated": duplicated,
+        "min-fill with a tree edge split": split,
+        f"min-fill with a subset of bag {host} hung off it": redundant,
     }
     expected = brute_force(g, enumerate_all=True)
     cap = greedy_upper_bound(g)
