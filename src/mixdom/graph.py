@@ -251,9 +251,10 @@ def is_mixed_dominating_set(g: Graph, s: int | Iterable[MixedElement]) -> bool:
 
 def parse_gr(text: str) -> Graph:
     """Parse graph text: comment lines "c ...", a header "p tw <n> <m>",
-    then m lines "u v" with 1-based vertex ids."""
+    then m lines "u v" with 1-based vertex ids.  Errors name the line and
+    the vertices 1-based, as the file does."""
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()  # 0-based, lower end first
     for line_num, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -274,7 +275,14 @@ def parse_gr(text: str) -> Graph:
             n = header[0]
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"line {line_num}: vertex out of range 1..{n}")
-            edges.append((u - 1, v - 1))
+            if u == v:
+                raise ValueError(f"line {line_num}: self-loop at vertex {u}")
+            e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if e in edges:
+                raise ValueError(
+                    f"line {line_num}: duplicate edge ({e[0] + 1}, {e[1] + 1})"
+                )
+            edges.add(e)
     if header is None:
         raise ValueError("missing header line")
     n, m = header

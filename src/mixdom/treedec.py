@@ -4,6 +4,7 @@ introduce/forget/join bags) consumed by the dynamic programs."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -103,27 +104,35 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[str]:
     if len(seen) != n_bags:
         violations.append("bag tree is not connected")
 
-    covered = set().union(*td.bags) if td.bags else set()
+    # index the bags by vertex once; every check below reads only the
+    # bags of the vertices it is about
+    holding: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            holding[v].append(i)
     for v in range(g.vertex_count):
-        if v not in covered:
+        if not holding[v]:
             violations.append(f"vertex {v + 1} appears in no bag")
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        a, b = (u, v) if len(holding[u]) <= len(holding[v]) else (v, u)
+        if not any(b in td.bags[i] for i in holding[a]):
             violations.append(f"edge ({u + 1}, {v + 1}) is contained in no bag")
 
     # occurrence connectivity: the bags holding v must form a subtree
-    for v in sorted(covered):
-        holding = {i for i, bag in enumerate(td.bags) if v in bag}
-        start = min(holding)
+    for v, bags_of_v in enumerate(holding):
+        if not bags_of_v:
+            continue
+        own = set(bags_of_v)
+        start = bags_of_v[0]
         reach = {start}
         stack = [start]
         while stack:
             i = stack.pop()
             for j in adjacency[i]:
-                if j in holding and j not in reach:
+                if j in own and j not in reach:
                     reach.add(j)
                     stack.append(j)
-        if reach != holding:
+        if len(reach) != len(own):
             violations.append(f"bags containing vertex {v + 1} are not connected")
     return violations
 
@@ -134,38 +143,71 @@ def min_fill_decompose(g: Graph) -> TreeDecomposition:
     Repeatedly eliminates the vertex whose neighborhood needs the fewest
     fill edges to become a clique (ties: lower degree, then lower id),
     producing one bag per vertex.  Width is heuristic, not optimal.
+
+    The fill of a vertex w is C(deg w, 2) minus the number of edges among
+    its neighbors, and that number is kept per vertex and updated by
+    deltas: eliminating v with neighborhood N removes, for each x in N,
+    the edges from v to N(x) ∩ N; a fill edge x-y adds |N(x) ∩ N(y)| at
+    x and at y and one at each common neighbor.  Keys (fill, degree, id),
+    the tie-break above, sit in a heap with lazy invalidation, and only N
+    and the common neighbors of fill edges are re-keyed, never the whole
+    neighborhood of a high-degree vertex.  Eliminating v costs |N|^2
+    membership tests, one set intersection (linear in the smaller set)
+    per vertex of N and per fill edge, and one heap push per re-keyed
+    vertex: O(log n) per step on a tree, a path or a star.
     """
-    if g.vertex_count == 0:
+    n = g.vertex_count
+    if n == 0:
         return TreeDecomposition((frozenset(),), (), 0)
-    adjacency: dict[int, set[int]] = {
-        v: set(g.adjacency(v)) for v in range(g.vertex_count)
-    }
+    adjacency = [set(g.adjacency(v)) for v in range(n)]
+    inner = [0] * n  # edges among each vertex's neighbors
+    for u, v in g.edges:
+        for w in adjacency[u] & adjacency[v]:
+            inner[w] += 1
+
+    def key_of(w: int) -> tuple[int, int, int]:
+        degree = len(adjacency[w])
+        return (degree * (degree - 1) // 2 - inner[w], degree, w)
+
+    # keys[w] is w's live heap entry; None once w is eliminated
+    keys: list[tuple[int, int, int] | None] = [key_of(w) for w in range(n)]
+    heap = list(keys)
+    heapq.heapify(heap)
     bags: list[frozenset[int]] = []
-    eliminated_at: dict[int, int] = {}
+    eliminated_at: list[int] = [0] * n
     bag_neighbors: list[set[int]] = []
-    while adjacency:
-        best = None
-        for v in adjacency:
-            nbrs = adjacency[v]
-            fill = sum(
-                1
-                for x in nbrs
-                for y in nbrs
-                if x < y and y not in adjacency[x]
-            )
-            key = (fill, len(nbrs), v)
-            if best is None or key < best:
-                best = key
-        v = best[2]
-        nbrs = adjacency.pop(v)
+    while heap:
+        key = heapq.heappop(heap)
+        v = key[2]
+        if keys[v] != key:
+            continue  # stale entry, or v is already eliminated
+        keys[v] = None
+        nbrs = adjacency[v]
         eliminated_at[v] = len(bags)
         bags.append(frozenset(nbrs | {v}))
-        bag_neighbors.append(set(nbrs))
+        bag_neighbors.append(nbrs)
+        touched = set(nbrs)
         for x in nbrs:
             adjacency[x].discard(v)
+            inner[x] -= len(adjacency[x] & nbrs)
+        for x in nbrs:
+            ax = adjacency[x]
             for y in nbrs:
-                if y != x:
-                    adjacency[x].add(y)
+                if x < y and y not in ax:
+                    ay = adjacency[y]
+                    common = ax & ay
+                    inner[x] += len(common)
+                    inner[y] += len(common)
+                    for w in common:
+                        inner[w] += 1
+                    touched |= common
+                    ax.add(y)
+                    ay.add(x)
+        for w in touched:
+            key = key_of(w)
+            if key != keys[w]:
+                keys[w] = key
+                heapq.heappush(heap, key)
 
     edges: list[tuple[int, int]] = []
     for i, nbrs in enumerate(bag_neighbors):

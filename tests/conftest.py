@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from mixdom.graph import Graph, parse_gr
+from mixdom.treedec import TreeDecomposition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,3 +77,50 @@ def default_recursion_limit():
         yield
     finally:
         sys.setrecursionlimit(saved)
+
+
+def reference_min_fill(g: Graph) -> TreeDecomposition:
+    """The quadratic min-fill heuristic that recomputes every remaining
+    vertex's fill at every step; min_fill_decompose must equal it."""
+    if g.vertex_count == 0:
+        return TreeDecomposition((frozenset(),), (), 0)
+    adjacency: dict[int, set[int]] = {
+        v: set(g.adjacency(v)) for v in range(g.vertex_count)
+    }
+    bags: list[frozenset[int]] = []
+    eliminated_at: dict[int, int] = {}
+    bag_neighbors: list[set[int]] = []
+    while adjacency:
+        best = None
+        for v in adjacency:
+            nbrs = adjacency[v]
+            fill = sum(
+                1
+                for x in nbrs
+                for y in nbrs
+                if x < y and y not in adjacency[x]
+            )
+            key = (fill, len(nbrs), v)
+            if best is None or key < best:
+                best = key
+        v = best[2]
+        nbrs = adjacency.pop(v)
+        eliminated_at[v] = len(bags)
+        bags.append(frozenset(nbrs | {v}))
+        bag_neighbors.append(set(nbrs))
+        for x in nbrs:
+            adjacency[x].discard(v)
+            for y in nbrs:
+                if y != x:
+                    adjacency[x].add(y)
+
+    edges: list[tuple[int, int]] = []
+    for i, nbrs in enumerate(bag_neighbors):
+        if nbrs:
+            # attach below the first neighbor eliminated after this bag
+            parent = min(eliminated_at[x] for x in nbrs)
+            edges.append((i, parent))
+        elif i + 1 < len(bags):
+            # isolated remainder (last vertex of a component); chain on
+            edges.append((i, i + 1))
+    return TreeDecomposition(tuple(bags), tuple(edges), len(bags) - 1)

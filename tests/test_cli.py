@@ -225,3 +225,39 @@ def test_validate_names_vertices_as_the_files_do(capsys, tmp_path):
     assert rc == 2
     assert "vertex 3 appears in no bag" in err
     assert "edge (2, 3) is contained in no bag" in err
+
+
+@pytest.mark.parametrize(
+    "edge_lines, message",
+    [
+        ("1 2\n3 3\n", "line 3: self-loop at vertex 3"),
+        ("1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
+    ],
+    ids=["self-loop", "duplicate"],
+)
+def test_graph_errors_name_lines_and_vertices_as_the_file_does(
+    capsys, tmp_path, edge_lines, message
+):
+    graph = tmp_path / "bad.gr"
+    graph.write_text("p tw 3 2\n" + edge_lines)
+    rc, _, err = run_cli(capsys, "solve", "--graph", str(graph))
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+
+
+def test_a_path_of_ten_thousand_vertices_end_to_end(
+    capsys, tmp_path, default_recursion_limit
+):
+    n = 10_000
+    graph = tmp_path / "p10000.gr"
+    graph.write_text(write_gr(path_graph(n)))
+    report = run_json(capsys, "solve", "--graph", str(graph))
+    # ceil(2n/5), one less when n = 3 (mod 5)
+    assert report["gamma"] == -(-2 * n // 5) - (1 if n % 5 == 3 else 0) == 4000
+    assert report["width"] == 1
+    td = tmp_path / "p10000.td"
+    rc, _, err = run_cli(capsys, "decompose", "--graph", str(graph), "--out", str(td))
+    assert rc == 0, err
+    rc, out, err = run_cli(capsys, "validate", "--graph", str(graph), "--td", str(td))
+    assert rc == 0, err
+    assert out.startswith("ok: 10000 bags, width 1")

@@ -2,7 +2,8 @@
 plain min-fill one: a single bag holding every vertex, min-fill rooted at
 any of its bags, min-fill with one bag duplicated, min-fill with a tree
 edge split by the intersection of its two bags, and min-fill with a
-proper subset of one bag hung off that bag."""
+proper subset of one bag hung off that bag.  Also min-fill against the
+quadratic reference heuristic on the same graphs."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import reference_min_fill
 from mixdom.dp import run_dp
 from mixdom.graph import Graph
 from mixdom.mds6 import run6
@@ -73,3 +75,9 @@ def test_programs_match_the_oracle_on_other_decompositions(g, data):
         assert nine.gamma == expected.gamma, name
         assert nine.min_sets == expected.min_sets, name
         assert run6(g, ntd, cost_cap=cap).gamma == expected.gamma, name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(graphs())
+def test_min_fill_equals_the_quadratic_reference(g):
+    assert min_fill_decompose(g) == reference_min_fill(g)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import permutations
 
 import pytest
 
-from conftest import fixture_text, gnp_graph, random_tree
+from conftest import fixture_text, gnp_graph, path_graph, random_tree, reference_min_fill
+from mixdom.cli import _random_partial_ktree
 from mixdom.graph import Graph, parse_gr
 from mixdom.treedec import (
     NiceTreeDecomposition,
@@ -158,6 +160,54 @@ def test_min_fill_handles_disconnected_and_isolated_vertices():
     g = Graph(5, [(0, 1), (2, 3)])
     td = min_fill_decompose(g)
     assert validate_td(g, td) == []
+
+
+def star_graph(n: int, hub: int) -> Graph:
+    return Graph(n, [(hub, leaf) for leaf in range(n) if leaf != hub])
+
+
+def test_min_fill_equals_the_quadratic_reference():
+    rng = random.Random(34)
+    graphs = [
+        gnp_graph(rng, rng.randint(1, 30), rng.choice((0.1, 0.3, 0.7)))
+        for _ in range(200)
+    ]
+    for n in (1, 2, 3, 4, 10, 61, 300):
+        graphs += [path_graph(n), star_graph(n, 0), star_graph(n, n - 1)]
+    for width in (3, 4, 5):
+        for n in (20, 60, 120):
+            graphs.append(_random_partial_ktree(rng, n, width, 0.8))
+    for g in graphs:
+        assert min_fill_decompose(g) == reference_min_fill(g), g
+
+
+def test_min_fill_is_fast_on_a_long_path():
+    n = 10_000
+    started = time.perf_counter()
+    td = min_fill_decompose(path_graph(n))
+    seconds = time.perf_counter() - started
+    assert seconds < 2.0, f"min-fill on the path took {seconds:.2f}s"
+    # the lowest end is eliminated first, every time
+    assert td.bags == tuple(frozenset({v, v + 1}) for v in range(n - 1)) + (
+        frozenset({n - 1}),
+    )
+    assert td.edges == tuple((v, v + 1) for v in range(n - 1))
+    assert td.root == n - 1
+
+
+def test_min_fill_is_fast_on_a_large_star():
+    n = 2000
+    hub = n - 1
+    started = time.perf_counter()
+    td = min_fill_decompose(star_graph(n, hub))
+    seconds = time.perf_counter() - started
+    assert seconds < 2.0, f"min-fill on the star took {seconds:.2f}s"
+    # every leaf goes before the hub, in id order
+    assert td.bags == tuple(frozenset({leaf, hub}) for leaf in range(hub)) + (
+        frozenset({hub}),
+    )
+    assert td.edges == tuple((leaf, hub) for leaf in range(hub))
+    assert td.root == hub
 
 
 def test_very_nice_reproduces_figure_structure(g1, fig_td):
