@@ -14,16 +14,17 @@ what makes min-cost deduplication sound.
 Bag operations follow the paper's rules: an introduce merges the child's
 table with the bag-local table through the ⋆_int/∗_int combination tables
 (introduce_combine), a join merges its two children's tables through
-⋆_join/∗_join (join_combine), both in one pair-merge kernel
-(_merge_pairs), and a forget projects the vanished vertex away
-(forget_reduce).  run_dp uses the same kernel and leaves out only pairs
-that cannot add a row; the shortcuts section below says which.
+⋆_join/∗_join, both in one pair-merge kernel (_merge_pairs), and a forget
+projects the vanished vertex away (forget_reduce).  run_dp uses the same
+kernel and leaves out only pairs that cannot add a row; the shortcuts
+section below says which.  The join that pairs every row with every row,
+join_combine, is a reference operation in reference.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
 
 from .graph import Graph, is_mixed_dominating_set
 from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
@@ -41,33 +42,26 @@ class BagLayout:
 
     def __init__(self, g: Graph, bag_vertices):
         self.vertices: tuple[int, ...] = tuple(sorted(bag_vertices))
-        vset = set(self.vertices)
-        eids = sorted(
-            eid
-            for v in self.vertices
-            for eid in g.incident_edges(v)
-            if g.endpoints(eid)[0] in vset and g.endpoints(eid)[1] in vset
-        )
-        self.edges: tuple[int, ...] = tuple(dict.fromkeys(eids))
-        self.vpos = {v: i for i, v in enumerate(self.vertices)}
         k = len(self.vertices)
+        self.vpos = {v: i for i, v in enumerate(self.vertices)}
+        # bag-induced edges from vertex pairs, so a bag costs O(k^2) and not
+        # its vertices' degrees; edge ids ascend with their endpoint pairs
+        pairs = [(u, v) for u, v in combinations(self.vertices, 2) if g.has_edge(u, v)]
+        self.edges: tuple[int, ...] = tuple(g.edge_id(u, v) for u, v in pairs)
         self.epos = {e: k + j for j, e in enumerate(self.edges)}
         self.width = k + len(self.edges)
+        self.edge_endpoints = tuple((self.vpos[u], self.vpos[v]) for u, v in pairs)
         # per vertex position: positions of its incident bag edges, and of
         # its bag neighbors (graph-adjacent vertices inside the bag)
         incident: list[list[int]] = [[] for _ in range(k)]
-        endpoints: list[tuple[int, int]] = []
-        for j, eid in enumerate(self.edges):
-            u, v = g.endpoints(eid)
-            endpoints.append((self.vpos[u], self.vpos[v]))
-            incident[self.vpos[u]].append(k + j)
-            incident[self.vpos[v]].append(k + j)
-        self.edge_endpoints = tuple(endpoints)
+        neighbors: list[list[int]] = [[] for _ in range(k)]
+        for j, (a, b) in enumerate(self.edge_endpoints):
+            incident[a].append(k + j)
+            incident[b].append(k + j)
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         self.incident = tuple(tuple(x) for x in incident)
-        self.neighbors = tuple(
-            tuple(self.vpos[u] for u in g.adjacency(v) if u in vset)
-            for v in self.vertices
-        )
+        self.neighbors = tuple(tuple(x) for x in neighbors)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BagLayout):
@@ -76,21 +70,6 @@ class BagLayout:
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
-
-
-@dataclass(frozen=True)
-class StateRow:
-    """One table row in display form."""
-
-    vertex_states: tuple[int, ...]
-    edge_states: tuple[int, ...]
-    cost: int
-    witnesses: frozenset[int] | None = None
-
-
-def row_key(row: StateRow) -> tuple[int, ...]:
-    """Injective table key for a row: the state tuple itself."""
-    return row.vertex_states + row.edge_states
 
 
 class StateTable:
@@ -126,14 +105,6 @@ class StateTable:
                 entry[1] = set(witnesses) if witnesses is not None else None
         elif cost == entry[0] and self.track_witnesses and witnesses:
             entry[1].update(witnesses)
-
-    def state_rows(self) -> Iterator[StateRow]:
-        k = len(self.layout.vertices)
-        for key in sorted(self.rows):
-            cost, wit = self.rows[key]
-            yield StateRow(
-                key[:k], key[k:], cost, frozenset(wit) if wit is not None else None
-            )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -349,30 +320,6 @@ def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTa
     return result
 
 
-def join_combine(
-    g: Graph,
-    stable_a: StateTable,
-    stable_b: StateTable,
-    cost_cap: int | None = None,
-) -> StateTable:
-    """Merge the tables of a join bag's two children pairwise through
-    ⋆_join/∗_join (see _merge_pairs).
-
-    Both children share the bag, so slots line up one to one.  Edge cells
-    are single-valued; the two-candidate vertex cells pick their first
-    entry iff no incident bag edge remains undominated after the merge.
-    """
-    if stable_a.layout != stable_b.layout:
-        raise ValueError("join children must share the same bag layout")
-    result = StateTable(
-        stable_a.layout, stable_a.track_witnesses and stable_b.track_witnesses
-    )
-    _merge_pairs(
-        result, _rows(stable_a), _rows(stable_b), STAR_JOIN, AST_JOIN, cost_cap
-    )
-    return result
-
-
 def _rows(table: StateTable) -> list[tuple]:
     """The table's rows as (states, cost, witnesses, member mask) tuples."""
     k = len(table.layout.vertices)
@@ -508,7 +455,7 @@ class _NineState:
     def introduce(self, g, child, vertex, cost_cap):
         return _introduce_extend(g, child, vertex, cost_cap)
 
-    def forget(self, g, child, vertex, cost_cap):
+    def forget(self, g, child, vertex):
         return forget_reduce(g, child, vertex)
 
     def join(self, g, left, right, cost_cap):

@@ -16,9 +16,11 @@ states behave identically onward, six vertex states remain:
 
 Rows map a state tuple to a cost ledger: how many branch outcomes realize
 the tuple at each cost.  The counts ride along so that joins can run
-through a per-slot downset transform, where two tables multiply pointwise
-and the true pair counts come back by inversion; exact integers keep the
-inversion lossless.
+through the per-slot zeta transform of the state lattice that _supremum
+defines (generalised fast subset convolution, van Rooij, Bodlaender and
+Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
+counts come back by Moebius inversion; exact integers keep the inversion
+lossless.
 """
 
 from __future__ import annotations
@@ -35,29 +37,46 @@ Rows6 = dict[tuple, CostLedger]
 IN_SOLUTION = 1
 EDGE_MARK = 3
 SETTLED = (1, 3, 4)  # states that survive a forget
-PEND_ANY = "0?"  # transform label covering states 5 and 7 together
+STATES = (1, 3, 4, 5, 6, 7)
 
-# Downset basis of the state lattice, in the slot order join6 uses.  The
-# lattice: 5 below 4 and 7, both below 6, 3 on top; 1 sits apart since
-# membership must agree.  The supremum of two states is their merge.
-BASIS = ((1,), (5,), (4, 5), (5, 7), (4, 5, 6, 7), (3, 4, 5, 6, 7))
-STATE_TO_BASIS = {
-    1: (0,),
-    3: (5,),
-    4: (2, 4, 5),
-    5: (1, 2, 3, 4, 5),
-    6: (4, 5),
-    7: (3, 4, 5),
-}
-# inversion: which states each basis coordinate feeds, with signs
-BASIS_TO_STATE = {
-    0: ((1, 1),),
-    1: ((5, 1), (4, -1), (7, -1), (6, 1)),
-    2: ((4, 1), (6, -1)),
-    3: ((7, 1), (6, -1)),
-    4: ((6, 1), (3, -1)),
-    5: ((3, 1),),
-}
+
+def _supremum(a: int, b: int) -> int | None:
+    """The merge of two states, their least upper bound in the state
+    lattice: 5 below 4 and 7, both below 6, 3 on top, and 1 apart, since
+    membership must agree (None when it does not)."""
+    if (a == IN_SOLUTION) != (b == IN_SOLUTION):
+        return None
+    if a == IN_SOLUTION:
+        return IN_SOLUTION
+    if EDGE_MARK in (a, b):
+        return EDGE_MARK
+    dominated = a in (4, 6) or b in (4, 6)
+    pending = a in (6, 7) or b in (6, 7)
+    if dominated:
+        return 6 if pending else 4
+    return 7 if pending else 5
+
+
+def _below(s: int, x: int) -> bool:
+    return _supremum(s, x) == x
+
+
+def _moebius_row(y: int) -> tuple[tuple[int, int], ...]:
+    """(x, mu(y, x)) for every x with mu(y, x) != 0, where mu is the
+    lattice's Moebius function: mu(y, y) = 1 and, for y < x, mu(y, x) is
+    minus the sum of mu(y, z) over y <= z < x.  States are visited in
+    order of how many states lie below them, so each z comes before x."""
+    mu: dict[int, int] = {}
+    for x in sorted(STATES, key=lambda x: sum(_below(z, x) for z in STATES)):
+        if _below(y, x):
+            mu[x] = 1 if x == y else -sum(m for z, m in mu.items() if _below(z, x))
+    return tuple((x, m) for x, m in mu.items() if m)
+
+
+# The per-slot zeta and Moebius maps of the lattice.  Transform
+# coordinates are labeled by states: coordinate x sums the states below x.
+_ZETA = {s: tuple((x, 1) for x in STATES if _below(s, x)) for s in STATES}
+_MOEBIUS = {y: _moebius_row(y) for y in STATES}
 
 
 @dataclass(frozen=True)
@@ -110,8 +129,7 @@ def introduce6(
     vertices = tuple(sorted(table.vertices + (v_new,)))
     pos_new = vertices.index(v_new)
     old_pos = [i for i in range(len(vertices)) if i != pos_new]
-    adjacency = set(g.adjacency(v_new))
-    nbrs = [i for i in old_pos if vertices[i] in adjacency]
+    nbrs = [i for i in old_pos if g.has_edge(v_new, vertices[i])]
     rows: Rows6 = {}
 
     for ckey, ledger in table.rows.items():
@@ -162,11 +180,10 @@ def introduce6(
     return SixTable(vertices, rows)
 
 
-def forget6(
-    table: SixTable, forgotten: int, cost_cap: int | None = None
-) -> SixTable:
+def forget6(table: SixTable, forgotten: int) -> SixTable:
     """Drop the vertex; rows where it is undominated or still owns an
-    undominated edge cannot be completed and disappear."""
+    undominated edge cannot be completed and disappear.  Costs are kept,
+    so a forget needs no cost cap."""
     if forgotten not in table.vertices:
         raise ValueError(f"vertex {forgotten} is not in the bag")
     pos = table.vertices.index(forgotten)
@@ -174,59 +191,14 @@ def forget6(
     rows: Rows6 = {}
     for key, ledger in table.rows.items():
         if key[pos] in SETTLED:
-            _merge(rows, key[:pos] + key[pos + 1:], ledger, 0, cost_cap)
+            _merge(rows, key[:pos] + key[pos + 1:], ledger)
     return SixTable(vertices, rows)
 
 
-def _supremum(a: int, b: int) -> int | None:
-    if (a == IN_SOLUTION) != (b == IN_SOLUTION):
-        return None
-    if a == IN_SOLUTION:
-        return IN_SOLUTION
-    if EDGE_MARK in (a, b):
-        return EDGE_MARK
-    dominated = a in (4, 6) or b in (4, 6)
-    pending = a in (6, 7) or b in (6, 7)
-    if dominated:
-        return 6 if pending else 4
-    return 7 if pending else 5
-
-
-def direct_join6(
-    a: SixTable, b: SixTable, cost_cap: int | None = None
-) -> SixTable:
-    """Reference join: pair every two rows agreeing on membership and
-    merge slots to their supremum, counting pairs."""
-    if a.vertices != b.vertices:
-        raise ValueError("join children must share the same bag")
-    rows: Rows6 = {}
-    for akey, aled in a.rows.items():
-        for bkey, bled in b.rows.items():
-            merged = []
-            for sa, sb in zip(akey, bkey):
-                s = _supremum(sa, sb)
-                if s is None:
-                    break
-                merged.append(s)
-            else:
-                key = tuple(merged)
-                overlap = sum(1 for s in key if s == IN_SOLUTION)
-                tgt = rows.setdefault(key, {})
-                for ca, na in aled.items():
-                    for cb, nb in bled.items():
-                        cost = ca + cb - overlap
-                        if cost_cap is not None and cost > cost_cap:
-                            continue
-                        _add(tgt, cost, na * nb)
-                if not tgt:
-                    del rows[key]
-    return SixTable(a.vertices, rows)
-
-
-def _transform(rows: Rows6, slots: int, mapping: dict) -> Rows6:
+def _transform(rows: Rows6, mapping: dict) -> Rows6:
     """Apply a per-slot linear map (zeta or its inverse) slot by slot."""
     cur = rows
-    for i in range(slots):
+    for i in range(len(next(iter(rows), ()))):
         nxt: Rows6 = {}
         for key, ledger in cur.items():
             for target, sign in mapping[key[i]]:
@@ -237,7 +209,20 @@ def _transform(rows: Rows6, slots: int, mapping: dict) -> Rows6:
     return cur
 
 
-_ZETA_FULL = {s: tuple((b, 1) for b in basis) for s, basis in STATE_TO_BASIS.items()}
+def zeta6(rows: Rows6) -> Rows6:
+    """Per-slot zeta transform: coordinate x of a slot sums the ledgers of
+    every state below x in the state lattice."""
+    return _transform(rows, _ZETA)
+
+
+def moebius6(rows: Rows6) -> Rows6:
+    """Inverse of zeta6, without zero counts and empty ledgers."""
+    out: Rows6 = {}
+    for key, ledger in _transform(rows, _MOEBIUS).items():
+        clean = {cost: count for cost, count in ledger.items() if count}
+        if clean:
+            out[key] = clean
+    return out
 
 
 def join6(
@@ -246,22 +231,22 @@ def join6(
     stats: dict | None = None,
     cost_cap: int | None = None,
 ) -> SixTable:
-    """Join through the downset transform: transform both tables, multiply
-    ledgers pointwise, invert, and shift costs by the doubly selected
-    vertices.  Equivalent to direct_join6 but touches at most 6^k
-    transform tuples instead of pairing rows quadratically.
+    """Join through the lattice transform: zeta6 both tables, multiply
+    ledgers pointwise, invert with moebius6, and shift costs by the doubly
+    selected vertices.  Coordinate x of the product counts the pairs whose
+    supremum lies below x, so the inversion yields the pair counts of
+    every supremum while touching at most 6^k transform tuples instead of
+    pairing rows quadratically.
 
     With a cost cap, product entries that can only feed capped-away costs
     are dropped early.  A transform key fixes which slots both sides
-    selected (its coordinate-0 slots, each charged doubly), so the final
+    selected (its IN_SOLUTION slots, each charged doubly), so the final
     cost of an entry is known up to that constant shift and the kept
     entries invert to the exact uncapped counts at costs within the cap.
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
-    k = len(a.vertices)
-    za = _transform(a.rows, k, _ZETA_FULL)
-    zb = _transform(b.rows, k, _ZETA_FULL)
+    za, zb = zeta6(a.rows), zeta6(b.rows)
     if stats is not None:
         stats["transform_tuples"] = len(za.keys() | zb.keys())
     product: Rows6 = {}
@@ -269,7 +254,7 @@ def join6(
         led: CostLedger = {}
         cap_here = None
         if cost_cap is not None:
-            cap_here = cost_cap + sum(1 for c in key if c == 0)
+            cap_here = cost_cap + key.count(IN_SOLUTION)
         for ca, na in za[key].items():
             for cb, nb in zb[key].items():
                 if cap_here is not None and ca + cb > cap_here:
@@ -278,47 +263,18 @@ def join6(
         if led:
             product[key] = led
     rows: Rows6 = {}
-    for key, ledger in _transform(product, k, BASIS_TO_STATE).items():
-        overlap = sum(1 for s in key if s == IN_SOLUTION)
-        clean = {
-            cost: count
+    for key, ledger in moebius6(product).items():
+        overlap = key.count(IN_SOLUTION)
+        shifted = {
+            cost - overlap: count
             for cost, count in ledger.items()
-            if count and (cost_cap is None or cost - overlap <= cost_cap)
+            if cost_cap is None or cost - overlap <= cost_cap
         }
-        if any(count < 0 for count in clean.values()):
+        if any(count < 0 for count in shifted.values()):
             raise AssertionError(f"negative pair count at {key}")
-        if clean:
-            rows[key] = {cost - overlap: count for cost, count in clean.items()}
+        if shifted:
+            rows[key] = shifted
     return SixTable(a.vertices, rows)
-
-
-def zeta6(rows: Rows6) -> Rows6:
-    """Per-slot downset sums on the undominated states: every slot in
-    state 7 is relabeled 0? and absorbs the matching state-5 ledger, so a
-    0? slot reads "undominated, owning unknown"."""
-    slots = len(next(iter(rows))) if rows else 0
-    mapping = {s: ((s, 1),) for s in (1, 3, 4, 6)}
-    mapping[5] = ((5, 1), (PEND_ANY, 1))
-    mapping[7] = ((PEND_ANY, 1),)
-    return _transform(rows, slots, mapping)
-
-
-def moebius6(rows: Rows6, validate: bool = True) -> Rows6:
-    """Inverse of zeta6; with validate, reject inputs whose preimage would
-    need a negative count somewhere."""
-    slots = len(next(iter(rows))) if rows else 0
-    mapping = {s: ((s, 1),) for s in (1, 3, 4, 6)}
-    mapping[5] = ((5, 1), (7, -1))
-    mapping[PEND_ANY] = ((7, 1),)
-    out = _transform(rows, slots, mapping)
-    cleaned: Rows6 = {}
-    for key, ledger in out.items():
-        clean = {cost: count for cost, count in ledger.items() if count}
-        if validate and any(count < 0 for count in clean.values()):
-            raise ValueError(f"negative count at {key}: not a zeta6 image")
-        if clean:
-            cleaned[key] = clean
-    return cleaned
 
 
 class _SixState:
@@ -332,8 +288,8 @@ class _SixState:
     def introduce(self, g, child, vertex, cost_cap):
         return introduce6(g, child, vertex, cost_cap)
 
-    def forget(self, g, child, vertex, cost_cap):
-        return forget6(child, vertex, cost_cap)
+    def forget(self, g, child, vertex):
+        return forget6(child, vertex)
 
     def join(self, g, left, right, cost_cap):
         return join6(left, right, cost_cap=cost_cap)

@@ -80,33 +80,3 @@ AST_JOIN: tuple[tuple[tuple[int, ...] | None, ...], ...] = (
     (None, (1,), (2,), (3,)),
 )
 
-
-def _lookup(table, a: int, b: int, name: str) -> tuple[int, ...]:
-    try:
-        cell = table[a][b]
-    except IndexError:
-        raise PoisonCellError(f"{name}({a}, {b}): state out of range") from None
-    if cell is None:
-        raise PoisonCellError(f"{name}({a}, {b}) is unreachable")
-    return cell
-
-
-def star_int(btable_state: int, stable_state: int) -> tuple[int, ...]:
-    """Candidate vertex states when an introduce bag's local row is merged
-    onto a child row."""
-    return _lookup(STAR_INT, btable_state, stable_state, "star_int")
-
-
-def ast_int(btable_state: int, stable_state: int) -> tuple[int, ...]:
-    """Candidate edge states for the introduce merge."""
-    return _lookup(AST_INT, btable_state, stable_state, "ast_int")
-
-
-def star_join(state_a: int, state_b: int) -> tuple[int, ...]:
-    """Candidate vertex states when two sibling rows are merged at a join."""
-    return _lookup(STAR_JOIN, state_a, state_b, "star_join")
-
-
-def ast_join(state_a: int, state_b: int) -> tuple[int, ...]:
-    """Candidate edge states for the join merge."""
-    return _lookup(AST_JOIN, state_a, state_b, "ast_join")

@@ -49,7 +49,7 @@ class BagScheme(Protocol[T]):
 
     def introduce(self, g: Graph, child: T, vertex: int, cost_cap: int | None) -> T: ...
 
-    def forget(self, g: Graph, child: T, vertex: int, cost_cap: int | None) -> T: ...
+    def forget(self, g: Graph, child: T, vertex: int) -> T: ...
 
     def join(self, g: Graph, left: T, right: T, cost_cap: int | None) -> T: ...
 
@@ -114,10 +114,10 @@ def walk(
     the root table, gamma and, with collect_tables, every bag's table in
     walk order.
 
-    cost_cap is handed to every bag operation and, when set, also turns on
-    the cost window of the module docstring.  Raises ValueError when the
-    decomposition does not fit the graph or no feasible root row is left
-    under the cap.
+    cost_cap is handed to every leaf, introduce and join operation (a
+    forget keeps costs) and, when set, also turns on the cost window of
+    the module docstring.  Raises ValueError when the decomposition does
+    not fit the graph or no feasible root row is left under the cap.
     """
     if tau is None:
         tau = postorder_traversal(ntd)
@@ -131,7 +131,7 @@ def walk(
         elif node.kind == "introduce":
             t = scheme.introduce(g, tables[node.children[0]], node.vertex, cost_cap)
         elif node.kind == "forget":
-            t = scheme.forget(g, tables[node.children[0]], node.vertex, cost_cap)
+            t = scheme.forget(g, tables[node.children[0]], node.vertex)
         else:
             t = scheme.join(
                 g, tables[node.children[0]], tables[node.children[1]], cost_cap

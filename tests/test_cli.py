@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, fixture_text, path_graph
+import mixdom
 from mixdom.cli import main
-from mixdom.graph import parse_gr, write_gr
+from mixdom.graph import Graph, parse_gr, write_gr
 from mixdom.treedec import parse_td, validate_td
 
 G1 = str(FIXTURES / "g1.gr")
@@ -261,3 +267,39 @@ def test_a_path_of_ten_thousand_vertices_end_to_end(
     rc, out, err = run_cli(capsys, "validate", "--graph", str(graph), "--td", str(td))
     assert rc == 0, err
     assert out.startswith("ok: 10000 bags, width 1")
+
+
+@pytest.mark.parametrize("algo", ["amds", "six"])
+def test_a_star_of_ten_thousand_vertices_solves_quickly(capsys, tmp_path, algo):
+    # every bag holds the hub, so a bag must cost its own size and not the
+    # hub's degree
+    n = 10_000
+    graph = tmp_path / "star.gr"
+    graph.write_text(write_gr(Graph(n, [(0, v) for v in range(1, n)])))
+    started = time.perf_counter()
+    report = run_json(capsys, "solve", "--graph", str(graph), "--algo", algo)
+    seconds = time.perf_counter() - started
+    assert report["gamma"] == 1
+    assert seconds < 10.0, f"{algo} on the star took {seconds:.2f}s"
+
+
+def test_solve_does_not_import_the_reference_joins():
+    script = "\n".join(
+        [
+            "import sys",
+            "from mixdom.cli import main",
+            "for extra in ([], ['--algo', 'six'], ['--enumerate']):",
+            f"    assert main(['solve', '--graph', {G1!r}, *extra]) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('mixdom')))",
+        ]
+    )
+    src = str(Path(mixdom.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    modules = done.stdout.splitlines()[-1]
+    assert "'mixdom.cli'" in modules
+    assert "mixdom.reference" not in modules

@@ -7,19 +7,17 @@ import pytest
 from conftest import connected_graphs_up_to, fixture_text, gnp_graph
 from mixdom.dp import (
     BagLayout,
-    StateRow,
     StateTable,
     enumerate_btable,
     forget_reduce,
     introduce_combine,
-    join_combine,
     leaf_table,
     render_table,
-    row_key,
     run_dp,
 )
 from mixdom.graph import Graph, parse_gr
 from mixdom.oracle import brute_force, greedy_upper_bound
+from mixdom.reference import join_combine
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, postorder_traversal
 
 
@@ -400,22 +398,7 @@ def test_run_dp_rejects_mismatched_decomposition():
         run_dp(Graph(2, [(0, 1)]), ntd)
 
 
-# -- row utilities and rendering --------------------------------------------
-
-
-def test_row_key_concatenates_states():
-    row = StateRow((3, 1), (2,), 4)
-    assert row_key(row) == (3, 1, 2)
-
-
-def test_state_rows_are_sorted_and_typed(g1):
-    t = enumerate_btable(g1, [1, 2])
-    rows = list(t.state_rows())
-    assert [row_key(r) for r in rows] == sorted(t.rows)
-    for r in rows:
-        assert isinstance(r, StateRow)
-        assert len(r.vertex_states) == 2
-        assert len(r.edge_states) == 1
+# -- rendering ------------------------------------------------------------
 
 
 def test_render_table_lists_rows(g1):

@@ -8,9 +8,7 @@ from conftest import connected_graphs_up_to, fixture_text, gnp_graph, random_tre
 from mixdom.dp import run_dp
 from mixdom.graph import Graph
 from mixdom.mds6 import (
-    PEND_ANY,
     SixTable,
-    direct_join6,
     forget6,
     introduce6,
     join6,
@@ -20,6 +18,7 @@ from mixdom.mds6 import (
     zeta6,
 )
 from mixdom.oracle import brute_force, greedy_upper_bound
+from mixdom.reference import direct_join6
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td
 
 
@@ -73,12 +72,21 @@ def test_forget6_keeps_only_settled_states():
 
 
 def test_zeta6_single_slot_example():
+    # coordinate x sums the states below x: 5 is the bottom, 7 lies below
+    # 6 and 3, and 4 gets only the bottom's ledger
     rows = {(5,): {0: 1}, (7,): {1: 2}}
-    assert zeta6(rows) == {(5,): {0: 1}, (PEND_ANY,): {0: 1, 1: 2}}
+    assert zeta6(rows) == {
+        (5,): {0: 1},
+        (4,): {0: 1},
+        (7,): {0: 1, 1: 2},
+        (6,): {0: 1, 1: 2},
+        (3,): {0: 1, 1: 2},
+    }
 
 
-def test_zeta6_identity_without_undominated_states():
-    rows = {(1, 3): {2: 1}, (4, 6): {0: 5}}
+def test_zeta6_fixes_the_maximal_states():
+    # 1 and 3 have no state above them, so rows in them are their own image
+    rows = {(1, 3): {2: 1}, (3, 1): {0: 5}}
     assert zeta6(rows) == rows
     assert moebius6(rows) == rows
 
@@ -94,11 +102,13 @@ def test_zeta6_moebius6_round_trip_on_random_ledgers():
         assert moebius6(zeta6(rows)) == rows
 
 
-def test_moebius6_validate_rejects_non_images():
-    rows = {(5,): {0: 2}, (PEND_ANY,): {0: 1}}
-    with pytest.raises(ValueError):
-        moebius6(rows)
-    assert moebius6(rows, validate=False) == {(5,): {0: 2}, (7,): {0: -1}}
+def test_moebius6_leaves_negative_counts_on_non_images():
+    # coordinate 7 below coordinate 5 is no zeta image; the inversion is
+    # still exact and join6 is the one to reject negative pair counts
+    rows = {(5,): {0: 2}, (7,): {0: 1}}
+    inverted = moebius6(rows)
+    assert inverted == {(5,): {0: 2}, (4,): {0: -2}, (7,): {0: -1}, (6,): {0: 1}}
+    assert moebius6(zeta6(inverted)) == inverted
 
 
 def test_join6_matches_direct_join_on_the_figure(g1, fig_ntd):

@@ -2,17 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from mixdom.tables import (
-    AST_INT,
-    AST_JOIN,
-    STAR_INT,
-    STAR_JOIN,
-    PoisonCellError,
-    ast_int,
-    ast_join,
-    star_int,
-    star_join,
-)
+from mixdom.dp import BagLayout, StateTable
+from mixdom.graph import Graph
+from mixdom.reference import join_combine
+from mixdom.tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
 
 # Independently transcribed copies of the four tables, compared cell for
 # cell against the shipped ones.  None marks an impossible state pairing,
@@ -101,39 +94,33 @@ def test_join_tables_are_symmetric():
 
 
 def test_combine_cell_examples():
-    assert star_int(3, 2) == (1,)
-    assert set(star_int(7, 5)) == {5, 7}
-    assert star_int(0, 0) == (0,)
-    assert ast_int(1, 0) == (1,)
-    assert set(ast_int(3, 0)) == {2, 3}
-    assert ast_int(2, 3) == (2,)
+    assert STAR_INT[3][2] == (1,)
+    assert set(STAR_INT[7][5]) == {5, 7}
+    assert STAR_INT[0][0] == (0,)
+    assert AST_INT[1][0] == (1,)
+    assert set(AST_INT[3][0]) == {2, 3}
+    assert AST_INT[2][3] == (2,)
 
 
 def test_join_cell_examples():
-    assert star_join(2, 3) == (1,)
-    assert set(star_join(6, 6)) == {4, 6}
-    assert ast_join(2, 3) == (2,)
-    assert star_join(8, 4) == (8,)
-    assert star_join(9, 5) == (9,)
+    assert STAR_JOIN[2][3] == (1,)
+    assert set(STAR_JOIN[6][6]) == {4, 6}
+    assert AST_JOIN[2][3] == (2,)
+    assert STAR_JOIN[8][4] == (8,)
+    assert STAR_JOIN[9][5] == (9,)
 
 
 def test_impossible_pairings_raise():
-    with pytest.raises(PoisonCellError):
-        star_int(0, 5)
-    with pytest.raises(PoisonCellError):
-        ast_int(0, 1)
-    with pytest.raises(PoisonCellError):
-        star_join(1, 0)
-    with pytest.raises(PoisonCellError):
-        star_join(0, 9)
-    with pytest.raises(PoisonCellError):
-        ast_join(3, 0)
+    # no valid table reaches a poison cell, so only hand-made rows do: the
+    # merge kernel raises on a vertex cell and on an edge cell
+    g = Graph(2, [(0, 1)])
 
+    def one_row(key):
+        t = StateTable(BagLayout(g, [0, 1]), False)
+        t.insert(key, 0, None)
+        return t
 
-def test_lookups_reject_out_of_range_states():
-    with pytest.raises(PoisonCellError):
-        star_int(8, 0)
-    with pytest.raises(PoisonCellError):
-        star_join(10, 1)
-    with pytest.raises(PoisonCellError):
-        ast_join(1, 4)
+    with pytest.raises(PoisonCellError, match="vertex cell"):
+        join_combine(g, one_row((0, 1, 1)), one_row((1, 1, 1)))
+    with pytest.raises(PoisonCellError, match="edge cell"):
+        join_combine(g, one_row((1, 1, 3)), one_row((1, 1, 0)))
