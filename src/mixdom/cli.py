@@ -95,12 +95,19 @@ def _very_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
 
 
 def _element_lists(g: Graph, mask: int) -> dict:
-    vertices = [v + 1 for v in range(g.vertex_count) if mask >> v & 1]
-    edges = sorted(
-        [x + 1 for x in g.endpoints(e)]
-        for e in range(g.edge_count)
-        if mask >> (g.vertex_count + e) & 1
-    )
+    """1-based vertices and edge endpoint pairs of a mixed set, read off its
+    set bits only, lowest first."""
+    vertices = []
+    edges = []
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        if i < g.vertex_count:
+            vertices.append(i + 1)
+        else:
+            edges.append([x + 1 for x in g.endpoints(i - g.vertex_count)])
+        mask ^= low
+    edges.sort()
     return {"vertices": vertices, "edges": edges}
 
 

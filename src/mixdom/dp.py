@@ -4,7 +4,7 @@ Computes the mixed domination number and, on request, every minimum mixed
 dominating set.  Each bag carries a table of rows; a row assigns one state
 to every bag vertex and bag edge (see tables.py for the state meanings),
 records the cheapest cost of any partial solution realizing those states,
-and optionally the witness sets achieving that cost.
+and optionally links to the rows it was built from at that cost.
 
 Rows are keyed by the full state tuple (vertex states in ascending vertex
 id order, then edge states in ascending edge order).  A row's states pin
@@ -75,9 +75,14 @@ class BagLayout:
 class StateTable:
     """Rows of one bag, deduplicated by state tuple keeping minimum cost.
 
-    rows maps the state tuple to [cost, witnesses]; witnesses is None when
-    enumeration is off, else the set of global element bitmasks achieving
-    that cost.
+    rows maps the state tuple to [cost, links].  links is None when
+    enumeration is off, else a list with one link per way the row reaches
+    its cost.  A link is a tuple of parts, each a global element bitmask
+    (a bag-local selection) or the [cost, links] entry of a row it was
+    built from: (local row, child row) at an introduce, (left row, right
+    row) at a join, (child row,) at a forget.  The row's partial solutions
+    are the union, over its links, of the ORs of one solution per part;
+    row_witnesses expands them.
 
     A table holds no cost cap.  Costs never decrease along the dynamic
     program (introduces add selections, forgets keep cost, joins charge at
@@ -95,16 +100,19 @@ class StateTable:
         self.track_witnesses = track_witnesses
         self.rows: dict[tuple[int, ...], list] = {}
 
-    def insert(self, key: tuple[int, ...], cost: int, witnesses: set[int] | None) -> None:
+    def insert(self, key: tuple[int, ...], cost: int, link: tuple | None) -> None:
+        """Record link as one way to reach the row key at cost: a cheaper
+        cost replaces the row's links, an equal one adds to them and a
+        dearer one is dropped.  link is ignored when enumeration is off."""
         entry = self.rows.get(key)
         if entry is None:
-            self.rows[key] = [cost, set(witnesses) if witnesses is not None else None]
+            self.rows[key] = [cost, [link] if self.track_witnesses else None]
         elif cost < entry[0]:
             entry[0] = cost
             if self.track_witnesses:
-                entry[1] = set(witnesses) if witnesses is not None else None
-        elif cost == entry[0] and self.track_witnesses and witnesses:
-            entry[1].update(witnesses)
+                entry[1] = [link]
+        elif cost == entry[0] and self.track_witnesses:
+            entry[1].append(link)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -172,7 +180,7 @@ def _local_rows(
                     vertex_states.append(6 if uncovered else 4)
                 else:
                     vertex_states.append(7 if uncovered else 5)
-        witnesses = None
+        link = None
         if track_witnesses:
             mask = 0
             for i in range(k):
@@ -181,9 +189,9 @@ def _local_rows(
             for j in range(m):
                 if member_e[j]:
                     mask |= 1 << (g.vertex_count + layout.edges[j])
-            witnesses = {mask}
+            link = (mask,)
         table.insert(
-            tuple(vertex_states) + tuple(edge_states), choice.bit_count(), witnesses
+            tuple(vertex_states) + tuple(edge_states), choice.bit_count(), link
         )
     return table
 
@@ -267,9 +275,9 @@ def introduce_combine(
     slots = [child.vpos.get(v) for v in layout.vertices]
     slots += [child.epos.get(e) for e in layout.edges]
     aligned = []
-    for ckey, (ccost, cwit) in stable_child.rows.items():
+    for ckey, centry in stable_child.rows.items():
         states = [ckey[p] if p is not None else 0 for p in slots]
-        aligned.append((states, ccost, cwit, _member_mask(states, k)))
+        aligned.append((states, centry[0], centry, _member_mask(states, k)))
     _merge_pairs(result, _rows(btable), aligned, STAR_INT, AST_INT, cost_cap)
     return result
 
@@ -289,13 +297,14 @@ def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTa
     if forgotten not in child.vpos:
         raise ValueError(f"vertex {forgotten} is not in the bag")
     layout = BagLayout(g, [v for v in child.vertices if v != forgotten])
-    result = StateTable(layout, stable_child.track_witnesses)
+    track = stable_child.track_witnesses
+    result = StateTable(layout, track)
     upos = child.vpos[forgotten]
     k = len(child.vertices)
     keep_v = [i for i in range(k) if i != upos]
     keep_e = [child.epos[e] for e in layout.edges]
 
-    for ckey, (cost, wit) in stable_child.rows.items():
+    for ckey, entry in stable_child.rows.items():
         su = ckey[upos]
         if su in (5, 7, 8, 9):
             continue
@@ -316,24 +325,25 @@ def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTa
                         f"endpoint of an undominated edge in state {sx}"
                     )
         key = tuple(states[i] for i in keep_v) + tuple(states[p] for p in keep_e)
-        result.insert(key, cost, wit)
+        result.insert(key, entry[0], (entry,) if track else None)
     return result
 
 
 def _rows(table: StateTable) -> list[tuple]:
-    """The table's rows as (states, cost, witnesses, member mask) tuples."""
+    """The table's rows as (states, cost, entry, member mask) tuples."""
     k = len(table.layout.vertices)
     return [
-        (key, cost, wit, _member_mask(key, k))
-        for key, (cost, wit) in table.rows.items()
+        (key, entry[0], entry, _member_mask(key, k))
+        for key, entry in table.rows.items()
     ]
 
 
 def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> None:
     """Insert into result the union of every row of rows_a with every row
-    of rows_b.  Rows are (states, cost, witnesses, member mask) tuples in
-    result's slot order; star and ast are the vertex and edge combination
-    tables, indexed (state in rows_a, state in rows_b).
+    of rows_b.  Rows are (states, cost, entry, member mask) tuples in
+    result's slot order, entry being the row's [cost, links]; star and ast
+    are the vertex and edge combination tables, indexed (state in rows_a,
+    state in rows_b).  With enumeration on, each pair is one link.
 
     A pair costs both costs minus the elements both sides select.  Pairs
     over cost_cap are skipped before their states are worked out.  A
@@ -344,8 +354,8 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
     layout = result.layout
     track = result.track_witnesses
     k = len(layout.vertices)
-    for akey, acost, awit, amask in rows_a:
-        for bkey, bcost, bwit, bmask in rows_b:
+    for akey, acost, aentry, amask in rows_a:
+        for bkey, bcost, bentry, bmask in rows_b:
             cost = acost + bcost - (amask & bmask).bit_count()
             if cost_cap is not None and cost > cost_cap:
                 continue
@@ -373,10 +383,11 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
                     else:
                         edge_states.append(3)
             vertex_states = _resolve_vertices(layout, candidates, edge_states)
-            witnesses = None
-            if track:
-                witnesses = {aw | bw for aw in awit for bw in bwit}
-            result.insert(tuple(vertex_states) + tuple(edge_states), cost, witnesses)
+            result.insert(
+                tuple(vertex_states) + tuple(edge_states),
+                cost,
+                (aentry, bentry) if track else None,
+            )
 
 
 # -- shortcuts run_dp takes -------------------------------------------------
@@ -386,8 +397,8 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
 # preserved).  So at an introduce bag, a bag-local row that re-selects
 # elements the child already knows adds nothing: pairing the enriched
 # child row with a smaller local row gives the same union at the same cost
-# and witnesses.  run_dp therefore merges the child only with the local
-# rows that select among the new vertex and its new edges.  At a join,
+# and partial solutions.  run_dp therefore merges the child only with the
+# local rows that select among the new vertex and its new edges.  At a join,
 # pairs disagreeing on membership are redundant for the same reason, so
 # rows are paired within groups sharing the selected bag elements.  Both
 # shortcuts feed the same _merge_pairs as the full operations.
@@ -471,17 +482,74 @@ class _NineState:
         return table
 
     def root_gamma(self, table: StateTable) -> int | None:
-        return min((cost for _, cost, _ in _root_rows(table)), default=None)
+        return min((entry[0] for entry in _root_rows(table)), default=None)
 
 
 def _root_rows(table: StateTable):
-    """(key, cost, witnesses) of the rows that are feasible at the root."""
+    """The [cost, links] entries of the rows that are feasible at the root."""
     k = len(table.layout.vertices)
-    for key, (cost, wit) in table.rows.items():
+    for key, entry in table.rows.items():
         if all(s in ROOT_OK_VERTEX for s in key[:k]) and all(
             s in ROOT_OK_EDGE for s in key[k:]
         ):
-            yield key, cost, wit
+            yield entry
+
+
+def row_witnesses(entries) -> set[int]:
+    """Every partial solution of the given [cost, links] row entries, as
+    global element bitmasks.
+
+    An entry's solutions are the union, over its links, of the ORs of one
+    solution per part (a bitmask part is its own single solution).  Entries
+    are expanded children first, without recursion, each once however many
+    links share it, and an entry's set is released once every link that
+    uses it has been expanded.  From the optimal root rows every reachable
+    row extends only to minimum sets, so the work follows the output.
+    """
+    # post-order over the entries reachable through links, and how many
+    # link parts (plus the callers' own) are left to read each entry's set
+    order: list[list] = []
+    readers: dict[int, int] = {}
+    seen: set[int] = set()
+    stack: list[tuple[list, bool]] = []
+    for entry in entries:
+        readers[id(entry)] = readers.get(id(entry), 0) + 1
+        stack.append((entry, False))
+    while stack:
+        entry, expanded = stack.pop()
+        if expanded:
+            order.append(entry)
+            continue
+        if id(entry) in seen:
+            continue
+        seen.add(id(entry))
+        stack.append((entry, True))
+        for link in entry[1]:
+            for part in link:
+                if not isinstance(part, int):
+                    readers[id(part)] = readers.get(id(part), 0) + 1
+                    if id(part) not in seen:
+                        stack.append((part, False))
+
+    solutions: dict[int, set[int]] = {}
+    for entry in order:
+        out: set[int] = set()
+        for link in entry[1]:
+            acc = {0}
+            for part in link:
+                if isinstance(part, int):
+                    acc = {a | part for a in acc}
+                else:
+                    acc = {a | b for a in acc for b in solutions[id(part)]}
+            out |= acc
+        solutions[id(entry)] = out
+        for link in entry[1]:
+            for part in link:
+                if not isinstance(part, int):
+                    readers[id(part)] -= 1
+                    if not readers[id(part)]:
+                        del solutions[id(part)]
+    return set().union(*(solutions[id(entry)] for entry in entries))
 
 
 def run_dp(
@@ -510,10 +578,7 @@ def run_dp(
     )
     min_sets: frozenset[int] | None = None
     if enumerate_sets:
-        out: set[int] = set()
-        for _, cost, wit in _root_rows(root):
-            if cost == gamma:
-                out.update(wit)
+        out = row_witnesses([e for e in _root_rows(root) if e[0] == gamma])
         for mask in out:
             if not is_mixed_dominating_set(g, mask):
                 raise AssertionError(f"witness {mask:#x} is not a dominating set")

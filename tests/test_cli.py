@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURES, fixture_text, path_graph
 import mixdom
 from mixdom.cli import main
-from mixdom.graph import Graph, parse_gr, write_gr
+from mixdom.graph import Graph, is_mixed_dominating_set, parse_gr, write_gr
 from mixdom.treedec import parse_td, validate_td
 
 G1 = str(FIXTURES / "g1.gr")
@@ -281,6 +281,41 @@ def test_a_star_of_ten_thousand_vertices_solves_quickly(capsys, tmp_path, algo):
     seconds = time.perf_counter() - started
     assert report["gamma"] == 1
     assert seconds < 10.0, f"{algo} on the star took {seconds:.2f}s"
+
+
+def test_enumerating_a_long_path_stays_fast(tmp_path):
+    # the minimum sets of a path are expanded from the optimal root rows
+    # only; carrying whole witness sets on every row took 44 s at n = 150
+    n = 300
+    g = path_graph(n)
+    graph = tmp_path / "p300.gr"
+    graph.write_text(write_gr(g))
+    src = str(Path(mixdom.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mixdom.cli", "solve", "--graph", str(graph),
+         "--enumerate"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["gamma"] == 120
+    assert report["minimum_set_count"] == 121
+    masks = {
+        g.mixed_set(
+            [v - 1 for v in s["vertices"]],
+            [g.edge_id(u - 1, v - 1) for u, v in s["edges"]],
+        )
+        for s in report["minimum_sets"]
+    }
+    assert len(masks) == 121
+    for mask in masks:
+        assert mask.bit_count() == 120
+        assert is_mixed_dominating_set(g, mask)
 
 
 def test_solve_does_not_import_the_reference_joins():

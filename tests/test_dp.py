@@ -13,6 +13,7 @@ from mixdom.dp import (
     introduce_combine,
     leaf_table,
     render_table,
+    row_witnesses,
     run_dp,
 )
 from mixdom.graph import Graph, parse_gr
@@ -32,14 +33,14 @@ def costs(table: StateTable) -> dict[tuple[int, ...], int]:
 
 def snapshot(table: StateTable):
     return {
-        key: (entry[0], frozenset(entry[1]))
+        key: (entry[0], frozenset(row_witnesses([entry])))
         for key, entry in table.rows.items()
     }
 
 
 def single_row_table(g: Graph, bag, key, cost, witness) -> StateTable:
     t = StateTable(BagLayout(g, bag), True)
-    t.insert(key, cost, {witness})
+    t.insert(key, cost, (witness,))
     return t
 
 
@@ -111,9 +112,33 @@ def test_bag_local_rows_are_distinct_per_selection(g1):
         t = enumerate_btable(g1, bag)
         expected = 1 << (len(t.layout.vertices) + len(t.layout.edges))
         assert len(t) == expected
-        for key, (cost, wit) in t.rows.items():
-            assert wit is not None and len(wit) == 1
-            assert all(bin(w).count("1") == cost for w in wit)
+        for key, entry in t.rows.items():
+            wit = row_witnesses([entry])
+            assert len(wit) == 1
+            assert all(bin(w).count("1") == entry[0] for w in wit)
+
+
+def test_links_expand_to_the_witnesses_at_the_row_cost(g1):
+    t = StateTable(BagLayout(g1, [1]), True)
+    # two links at equal cost: the row keeps both ways
+    t.insert((4,), 1, (1 << 0,))
+    t.insert((4,), 1, (1 << 2,))
+    assert row_witnesses([t.rows[(4,)]]) == {1 << 0, 1 << 2}
+    # a cheaper link replaces the older ones; a dearer one is ignored
+    t.insert((1,), 3, (0b111,))
+    t.insert((1,), 3, (0b1011,))
+    t.insert((1,), 2, (0b11,))
+    t.insert((1,), 3, (0b1101,))
+    assert t.rows[(1,)][0] == 2
+    assert row_witnesses([t.rows[(1,)]]) == {0b11}
+    # a link of two rows ORs one witness of each
+    pair = StateTable(BagLayout(g1, [1]), True)
+    pair.insert((1,), 3, (t.rows[(4,)], t.rows[(1,)]))
+    assert row_witnesses([pair.rows[(1,)]]) == {0b11, 0b111}
+    # a forget link passes its child's witnesses through unchanged
+    reduced = forget_reduce(g1, t, 1)
+    assert reduced.rows[()] == [1, [(t.rows[(4,)],)]]
+    assert row_witnesses([reduced.rows[()]]) == {1 << 0, 1 << 2}
 
 
 # -- introduce --------------------------------------------------------------
@@ -144,7 +169,7 @@ def test_full_introduce_reproduces_the_eight_stable_rows(g1):
 
 def test_introduce_with_empty_child_is_identity(g1):
     empty = StateTable(BagLayout(g1, []), True)
-    empty.insert((), 0, {0})
+    empty.insert((), 0, (0,))
     local = enumerate_btable(g1, [1, 2])
     merged = introduce_combine(g1, empty, local)
     assert snapshot(merged) == snapshot(local)
@@ -187,9 +212,9 @@ def test_forget_requires_bag_membership(g1):
 
 def test_forget_keeps_minimum_cost_row_per_projection(g1):
     t = StateTable(BagLayout(g1, [1]), True)
-    t.insert((2,), 1, {1 << 1})
-    t.insert((4,), 2, {0b110})
-    t.insert((1,), 2, {0b11 << 4})
+    t.insert((2,), 1, (1 << 1,))
+    t.insert((4,), 2, (0b110,))
+    t.insert((1,), 2, (0b11 << 4,))
     reduced = forget_reduce(g1, t, 1)
     assert snapshot(reduced) == {(): (1, frozenset({1 << 1}))}
 
@@ -346,8 +371,9 @@ def test_run_dp_matches_oracle_on_random_and_disconnected_graphs():
 def test_every_witness_size_equals_row_cost(g1, fig_ntd):
     res = run_dp(g1, fig_ntd, enumerate_sets=True, collect_tables=True)
     for table in res.tables:
-        for key, (cost, wit) in table.rows.items():
-            assert all(bin(w).count("1") == cost for w in wit), key
+        for key, entry in table.rows.items():
+            wit = row_witnesses([entry])
+            assert all(bin(w).count("1") == entry[0] for w in wit), key
 
 
 def test_cost_cap_preserves_optimum_and_enumeration():

@@ -144,6 +144,29 @@ def test_domination_masks_match_neighborhoods(g1):
     assert domination_masks(g1) is masks
 
 
+def test_mask_elements_round_trips_every_subset(g1):
+    n, m = g1.vertex_count, g1.edge_count
+    assert n + m == 11
+    for subset in range(1 << (n + m)):
+        vertices = [v for v in range(n) if subset >> v & 1]
+        edges = [e for e in range(m) if subset >> (n + e) & 1]
+        mask = g1.mixed_set(vertices, edges)
+        assert mask == subset
+        assert g1.mask_elements(mask) == {
+            *(MixedElement.vertex(v) for v in vertices),
+            *(MixedElement.edge(e) for e in edges),
+        }
+
+
+def test_mask_elements_rejects_bits_outside_the_elements(g1):
+    with pytest.raises(ValueError):
+        g1.mask_elements(1 << g1.element_count)
+    with pytest.raises(ValueError):
+        g1.mask_elements((1 << g1.element_count) | 1)
+    with pytest.raises(ValueError):
+        g1.mask_elements(-1)
+
+
 def test_parse_gr_basic_graphs():
     k2 = parse_gr("p tw 2 1\n1 2\n")
     assert k2 == Graph(2, [(0, 1)])
