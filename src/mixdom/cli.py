@@ -125,7 +125,19 @@ def _emit(args, text: str) -> None:
 
 
 def _report(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    """One top-level field per line, and one item per line in a list such
+    as the minimum sets.  Each piece goes through json.dumps without
+    indent, which runs the C encoder; an indented dump of a report with
+    thousands of sets took several times as long."""
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            items = ",\n".join("    " + json.dumps(item) for item in value)
+            text = "[\n" + items + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    _emit(args, "{\n" + ",\n".join(fields) + "\n}\n")
 
 
 def _render_trace(g: Graph, ntd: NiceTreeDecomposition, tau, tables) -> str:
@@ -258,6 +270,10 @@ def _random_partial_ktree(rng: random.Random, n: int, width: int, keep: float) -
 def cmd_bench(args) -> int:
     if args.n < 1:
         raise CliError(2, f"--n must be at least 1, got {args.n}")
+    if args.width < 0:
+        raise CliError(2, f"--width must be at least 0, got {args.width}")
+    if not 0 <= args.keep <= 1:
+        raise CliError(2, f"--keep must lie in [0, 1], got {args.keep}")
     rng = random.Random(args.seed)
     g = _random_partial_ktree(rng, args.n, args.width, args.keep)
     td = min_fill_decompose(g)

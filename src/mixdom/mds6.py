@@ -21,11 +21,33 @@ defines (generalised fast subset convolution, van Rooij, Bodlaender and
 Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
 counts come back by Moebius inversion; exact integers keep the inversion
 lossless.
+
+Packed ledgers.  Inside introduce6, join6 and the transforms, a ledger
+{cost: count} is one integer, sum of count * 2^(w * (cost - base)), with
+fields of w bits (Kronecker substitution; Harvey, 2009).  A table's
+ledgers share one w and one base, the table's cheapest cost, so an int
+holds only the few fields of the cost window above it, not one field per
+cost from 0.  As long as no field overflows, packing is exact and
+linear: the sum of packed ints is the packed sum, so the per-slot
+transforms run on packed ints unchanged; shifting by w bits adds 1 to
+every cost; and the product of two packed ints is the packed product of
+their ledgers, field c holding the sum of count_a(i) * count_b(c - i).
+One integer operation thus does the work of a loop over a ledger.
+
+Fields are signed, so a packed int also holds the negative counts a
+Moebius inversion of a non-image produces.  _width(bound) gives bound's
+bits plus a sign bit, where bound caps the absolute value of every field
+an operation forms, intermediate ones included: the sum of absolute
+counts for a transform (its coefficients are 0 and +-1, and each input
+entry reaches each output entry once), the product of the two count
+totals for a join, and the count total times the branches per row for an
+introduce.  Tables leave each operation as dicts again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import Graph
 from .treedec import NiceTreeDecomposition
@@ -75,8 +97,8 @@ def _moebius_row(y: int) -> tuple[tuple[int, int], ...]:
 
 # The per-slot zeta and Moebius maps of the lattice.  Transform
 # coordinates are labeled by states: coordinate x sums the states below x.
-_ZETA = {s: tuple((x, 1) for x in STATES if _below(s, x)) for s in STATES}
-_MOEBIUS = {y: _moebius_row(y) for y in STATES}
+_ZETA = {s: tuple(((x,), 1) for x in STATES if _below(s, x)) for s in STATES}
+_MOEBIUS = {y: tuple(((x,), m) for x, m in _moebius_row(y)) for y in STATES}
 
 
 @dataclass(frozen=True)
@@ -95,20 +117,43 @@ def _add(ledger: CostLedger, cost: int, count: int) -> None:
     ledger[cost] = ledger.get(cost, 0) + count
 
 
-def _merge(
-    dst: Rows6,
-    key: tuple,
-    ledger: CostLedger,
-    shift: int = 0,
-    cost_cap: int | None = None,
-) -> None:
-    tgt = dst.setdefault(key, {})
+def _width(bound: int) -> int:
+    """Field width for packed ledgers whose fields never exceed bound in
+    absolute value: its bits plus a sign bit."""
+    return bound.bit_length() + 1
+
+
+def _base_total(rows: Rows6) -> tuple[int, int]:
+    """The cheapest cost in rows, and the sum of their absolute counts."""
+    base = min(map(min, rows.values()), default=0)
+    return base, sum(map(abs, chain.from_iterable(map(dict.values, rows.values()))))
+
+
+def _pack(ledger: CostLedger, w: int, base: int) -> int:
+    x = 0
     for cost, count in ledger.items():
-        if cost_cap is not None and cost + shift > cost_cap:
-            continue
-        _add(tgt, cost + shift, count)
-    if not tgt:
-        del dst[key]
+        x += count << w * (cost - base)
+    return x
+
+
+def _unpack(x: int, w: int, base: int) -> CostLedger:
+    """The ledger of a packed int with signed w-bit fields, field 0 at
+    cost base; zero fields are left out."""
+    mask = ~(-1 << w)
+    half = mask >> 1
+    if 0 < x <= half:
+        return {base: x}
+    ledger: CostLedger = {}
+    while x:
+        field = x & mask
+        x >>= w
+        if field > half:
+            field -= mask + 1
+            x += 1
+        if field:
+            ledger[base] = field
+        base += 1
+    return ledger
 
 
 def leaf6(g: Graph, bag_vertices) -> SixTable:
@@ -123,24 +168,43 @@ def introduce6(
 ) -> SixTable:
     """Extend every row by the new vertex, branching over its membership,
     over each new edge's membership, and over who owns each new edge that
-    comes out undominated."""
+    comes out undominated.
+
+    Each child ledger is packed once; a branch adds it shifted by the
+    branch's cost, masked to the costs within the cap.  An output field
+    sums at most one child entry per (row, branch), and a row has fewer
+    than 3 * 2^d branches for d new edges, so no field exceeds the child
+    count total times 3 * 2^d."""
     if v_new in table.vertices:
         raise ValueError(f"vertex {v_new} is already in the bag")
     vertices = tuple(sorted(table.vertices + (v_new,)))
     pos_new = vertices.index(v_new)
     old_pos = [i for i in range(len(vertices)) if i != pos_new]
     nbrs = [i for i in old_pos if g.has_edge(v_new, vertices[i])]
-    rows: Rows6 = {}
-
+    low, total = _base_total(table.rows)
+    # a row has 2^(d+1) - 1 selections plus 2^(open edges) <= 2^d owners
+    w = _width(total * (3 << len(nbrs)))
+    keep = None if cost_cap is None else w * max(cost_cap - low + 1, 0)
+    selections = [
+        [u for t, u in enumerate(nbrs) if bits >> t & 1]
+        for bits in range(1 << len(nbrs))
+    ]
+    packed: dict[tuple, int] = {}
     for ckey, ledger in table.rows.items():
         budget = None if cost_cap is None else cost_cap - min(ledger)
+        x = _pack(ledger, w, low)
+        # the row's ledger shifted by every cost a branch can add
+        shifted = [x << w * s for s in range(len(nbrs) + 2)]
+        if keep is not None and shifted[-1].bit_length() > keep:
+            # the cap cuts into this row's costs; a mask is built only then
+            shifted = [y & ~(-1 << keep) for y in shifted]
         base = [0] * len(vertices)
         for cpos, i in enumerate(old_pos):
             base[i] = ckey[cpos]
         for dv in (0, 1):
-            for bits in range(1 << len(nbrs)):
-                selected = [u for t, u in enumerate(nbrs) if bits >> t & 1]
-                if budget is not None and dv + len(selected) > budget:
+            for selected in selections:
+                shift = dv + len(selected)
+                if budget is not None and shift > budget:
                     continue
                 states = base.copy()
                 for u in selected:
@@ -152,11 +216,11 @@ def introduce6(
                             states[u] = 4
                         elif states[u] == 7:
                             states[u] = 6
-                shift = dv + len(selected)
                 if dv or selected:
                     # every unselected new edge is dominated from v's side
                     states[pos_new] = 1 if dv else EDGE_MARK
-                    _merge(rows, tuple(states), ledger, shift, cost_cap)
+                    key = tuple(states)
+                    packed[key] = packed.get(key, 0) + shifted[shift]
                     continue
                 # nothing selected: new edges at already-marked neighbors
                 # are dominated, the rest need an owner
@@ -176,8 +240,11 @@ def introduce6(
                         branch[pos_new] = 6 if pend_new else 4
                     else:
                         branch[pos_new] = 7 if pend_new else 5
-                    _merge(rows, tuple(branch), ledger, 0, cost_cap)
-    return SixTable(vertices, rows)
+                    key = tuple(branch)
+                    packed[key] = packed.get(key, 0) + shifted[0]
+    return SixTable(
+        vertices, {key: _unpack(x, w, low) for key, x in packed.items()}
+    )
 
 
 def forget6(table: SixTable, forgotten: int) -> SixTable:
@@ -191,38 +258,48 @@ def forget6(table: SixTable, forgotten: int) -> SixTable:
     rows: Rows6 = {}
     for key, ledger in table.rows.items():
         if key[pos] in SETTLED:
-            _merge(rows, key[:pos] + key[pos + 1:], ledger)
+            tgt = rows.setdefault(key[:pos] + key[pos + 1:], {})
+            for cost, count in ledger.items():
+                _add(tgt, cost, count)
     return SixTable(vertices, rows)
 
 
-def _transform(rows: Rows6, mapping: dict) -> Rows6:
-    """Apply a per-slot linear map (zeta or its inverse) slot by slot."""
-    cur = rows
-    for i in range(len(next(iter(rows), ()))):
-        nxt: Rows6 = {}
-        for key, ledger in cur.items():
+def _transform(packed: dict[tuple, int], mapping: dict) -> dict[tuple, int]:
+    """Apply a per-slot linear map (zeta or its inverse) slot by slot to
+    packed ledgers."""
+    cur = packed
+    for i in range(len(next(iter(packed), ()))):
+        nxt: dict[tuple, int] = {}
+        for key, x in cur.items():
+            head, tail = key[:i], key[i + 1:]
             for target, sign in mapping[key[i]]:
-                tgt = nxt.setdefault(key[:i] + (target,) + key[i + 1:], {})
-                for cost, count in ledger.items():
-                    _add(tgt, cost, sign * count)
+                k = head + target + tail
+                nxt[k] = nxt.get(k, 0) + (x if sign > 0 else -x)
         cur = nxt
     return cur
 
 
+def _transform_rows(rows: Rows6, mapping: dict) -> Rows6:
+    base, total = _base_total(rows)
+    w = _width(total)
+    packed = {key: _pack(ledger, w, base) for key, ledger in rows.items()}
+    return {
+        key: _unpack(x, w, base)
+        for key, x in _transform(packed, mapping).items()
+        if x
+    }
+
+
 def zeta6(rows: Rows6) -> Rows6:
     """Per-slot zeta transform: coordinate x of a slot sums the ledgers of
-    every state below x in the state lattice."""
-    return _transform(rows, _ZETA)
+    every state below x in the state lattice.  Zero counts and empty
+    ledgers are left out."""
+    return _transform_rows(rows, _ZETA)
 
 
 def moebius6(rows: Rows6) -> Rows6:
     """Inverse of zeta6, without zero counts and empty ledgers."""
-    out: Rows6 = {}
-    for key, ledger in _transform(rows, _MOEBIUS).items():
-        clean = {cost: count for cost, count in ledger.items() if count}
-        if clean:
-            out[key] = clean
-    return out
+    return _transform_rows(rows, _MOEBIUS)
 
 
 def join6(
@@ -231,49 +308,54 @@ def join6(
     stats: dict | None = None,
     cost_cap: int | None = None,
 ) -> SixTable:
-    """Join through the lattice transform: zeta6 both tables, multiply
-    ledgers pointwise, invert with moebius6, and shift costs by the doubly
-    selected vertices.  Coordinate x of the product counts the pairs whose
-    supremum lies below x, so the inversion yields the pair counts of
+    """Join through the lattice transform: zeta-transform both tables,
+    multiply ledgers pointwise, invert by Moebius, and shift costs by the
+    doubly selected vertices.  Coordinate x of the product counts the pairs
+    whose supremum lies below x, so the inversion yields the pair counts of
     every supremum while touching at most 6^k transform tuples instead of
     pairing rows quadratically.
+
+    Ledgers are packed (see the module docstring) with field 0 at each
+    table's cheapest cost, so one multiply forms a key's whole product
+    ledger.  Every product field, and every field on the way through the
+    inversion, counts a set of pairs, so it is at most the product of the
+    two tables' count totals; that bound sets the field width.
 
     With a cost cap, product entries that can only feed capped-away costs
     are dropped early.  A transform key fixes which slots both sides
     selected (its IN_SOLUTION slots, each charged doubly), so the final
-    cost of an entry is known up to that constant shift and the kept
-    entries invert to the exact uncapped counts at costs within the cap.
+    cost of an entry is known up to that constant shift, and masking off
+    the fields above the cap keeps exact counts in the fields below it: no
+    field is negative, so none borrows from the next.  The mask is built
+    only when the product reaches past the cap, so a cap far above the
+    tables' costs (a star's greedy cap is about n) costs nothing.
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
-    za, zb = zeta6(a.rows), zeta6(b.rows)
+    base_a, total_a = _base_total(a.rows)
+    base_b, total_b = _base_total(b.rows)
+    w = _width(total_a * total_b)
+    za = _transform({k: _pack(led, w, base_a) for k, led in a.rows.items()}, _ZETA)
+    zb = _transform({k: _pack(led, w, base_b) for k, led in b.rows.items()}, _ZETA)
     if stats is not None:
         stats["transform_tuples"] = len(za.keys() | zb.keys())
-    product: Rows6 = {}
+    product: dict[tuple, int] = {}
     for key in za.keys() & zb.keys():
-        led: CostLedger = {}
-        cap_here = None
+        x = za[key] * zb[key]
         if cost_cap is not None:
-            cap_here = cost_cap + key.count(IN_SOLUTION)
-        for ca, na in za[key].items():
-            for cb, nb in zb[key].items():
-                if cap_here is not None and ca + cb > cap_here:
-                    continue
-                _add(led, ca + cb, na * nb)
-        if led:
-            product[key] = led
+            keep = w * max(cost_cap + key.count(IN_SOLUTION) - base_a - base_b + 1, 0)
+            if x.bit_length() > keep:
+                x &= ~(-1 << keep)
+        if x:
+            product[key] = x
     rows: Rows6 = {}
-    for key, ledger in moebius6(product).items():
-        overlap = key.count(IN_SOLUTION)
-        shifted = {
-            cost - overlap: count
-            for cost, count in ledger.items()
-            if cost_cap is None or cost - overlap <= cost_cap
-        }
-        if any(count < 0 for count in shifted.values()):
+    for key, x in _transform(product, _MOEBIUS).items():
+        if not x:
+            continue
+        ledger = _unpack(x, w, base_a + base_b - key.count(IN_SOLUTION))
+        if any(count < 0 for count in ledger.values()):
             raise AssertionError(f"negative pair count at {key}")
-        if shifted:
-            rows[key] = shifted
+        rows[key] = ledger
     return SixTable(a.vertices, rows)
 
 

@@ -197,12 +197,22 @@ def test_unusable_decomposition_exits_two(capsys, tmp_path, command, td_text, me
     assert err.startswith("error:") and message in err
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_bench_rejects_an_empty_graph_size(capsys, n):
-    rc, out, err = run_cli(capsys, "bench", "--n", n)
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        pytest.param("--n", "0", id="0"),
+        pytest.param("--n", "-1", id="-1"),
+        pytest.param("--width", "-1", id="width-negative"),
+        pytest.param("--keep", "1.5", id="keep-above-one"),
+        pytest.param("--keep", "-0.1", id="keep-below-zero"),
+        pytest.param("--keep", "nan", id="keep-nan"),
+    ],
+)
+def test_bench_rejects_an_empty_graph_size(capsys, option, value):
+    rc, out, err = run_cli(capsys, "bench", option, value)
     assert rc == 2
     assert out == ""
-    assert "--n" in err
+    assert err.startswith("error:") and option in err
 
 
 def test_bag_line_without_an_id_exits_one(capsys, tmp_path):

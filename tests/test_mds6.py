@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from mixdom.dp import run_dp
 from mixdom.graph import Graph
 from mixdom.mds6 import (
     SixTable,
+    _supremum,
     forget6,
     introduce6,
     join6,
@@ -19,7 +21,12 @@ from mixdom.mds6 import (
 )
 from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.reference import direct_join6
-from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td
+from mixdom.treedec import (
+    make_very_nice,
+    min_fill_decompose,
+    parse_td,
+    postorder_traversal,
+)
 
 
 @pytest.fixture
@@ -223,3 +230,99 @@ def test_capped_joins_agree_and_keep_entries_within_the_cap():
             for key, led in full.rows.items()
         }
         assert fast.rows == {k: led for k, led in expected.items() if led}
+
+
+def _scaled(rows, factor, offset):
+    return {
+        key: {cost + offset: count * factor for cost, count in ledger.items()}
+        for key, ledger in rows.items()
+    }
+
+
+def test_packed_operations_scale_with_counts_and_costs(g1, fig_ntd):
+    # packing is relative to each table's cheapest cost and sized by its
+    # count totals, so huge counts and far-off costs change nothing else
+    res = run6(g1, fig_ntd, collect_tables=True)
+    tau = postorder_traversal(fig_ntd)
+    position = {idx: pos for pos, idx in enumerate(tau)}
+    big = 2 ** 200
+    introduces = joins = 0
+    for cap in (None, 2, 4):
+        for idx in tau:
+            node = fig_ntd.nodes[idx]
+            kids = [res.tables[position[c]] for c in node.children]
+            if node.kind == "introduce":
+                (child,) = kids
+                plain = introduce6(g1, child, node.vertex, cost_cap=cap)
+                scaled = SixTable(child.vertices, _scaled(child.rows, big, 1000))
+                huge = introduce6(
+                    g1, scaled, node.vertex, None if cap is None else cap + 1000
+                )
+                assert huge.rows == _scaled(plain.rows, big, 1000)
+                introduces += 1
+            elif node.kind == "join":
+                a, b = kids
+                plain = join6(a, b, cost_cap=cap)
+                huge = join6(
+                    SixTable(a.vertices, _scaled(a.rows, big, 1000)),
+                    SixTable(b.vertices, _scaled(b.rows, big, 1000)),
+                    cost_cap=None if cap is None else cap + 2000,
+                )
+                assert huge.rows == _scaled(plain.rows, big * big, 2000)
+                joins += 1
+    assert introduces and joins
+
+
+def _random_rows(rng, slots, count, costs=(0, 4), low=1):
+    rows = {}
+    for _ in range(rng.randint(1, 12)):
+        key = tuple(rng.choice([1, 3, 4, 5, 6, 7]) for _ in range(slots))
+        rows.setdefault(key, {})[rng.randint(*costs)] = rng.randint(low, count)
+    return rows
+
+
+def test_join6_matches_direct_join_on_huge_counts():
+    rng = random.Random(43)
+    for trial in range(60):
+        slots = rng.randint(1, 3)
+        vertices = tuple(range(slots))
+        # a single cost per table puts the whole count total into one
+        # product field, the largest a field can get
+        costs = (2, 2) if trial % 3 == 0 else (0, 4)
+        a = SixTable(vertices, _random_rows(rng, slots, 2 ** 150, costs))
+        b = SixTable(vertices, _random_rows(rng, slots, 2 ** 150, costs))
+        assert join6(a, b).rows == direct_join6(a, b).rows
+        cap = rng.randint(2, 8)
+        assert join6(a, b, cost_cap=cap).rows == direct_join6(a, b, cost_cap=cap).rows
+    top = 2 ** 150 - 1
+    one = SixTable((0,), {(5,): {3: top}})
+    assert join6(one, one).rows == {(5,): {6: top * top}}
+
+
+def _direct_zeta(rows):
+    out = {}
+    for key, ledger in rows.items():
+        ups = [[x for x in (1, 3, 4, 5, 6, 7) if _supremum(s, x) == x] for s in key]
+        for target in product(*ups):
+            tgt = out.setdefault(target, {})
+            for cost, count in ledger.items():
+                tgt[cost] = tgt.get(cost, 0) + count
+    return {
+        key: {c: n for c, n in ledger.items() if n}
+        for key, ledger in out.items()
+        if any(ledger.values())
+    }
+
+
+def test_zeta6_and_moebius6_stay_exact_on_huge_and_negative_counts():
+    rng = random.Random(47)
+    for _ in range(100):
+        slots = rng.randint(1, 3)
+        rows = _random_rows(rng, slots, 2 ** 150, (0, 3), low=-(2 ** 150))
+        assert zeta6(rows) == _direct_zeta(rows)
+        assert moebius6(zeta6(rows)) == rows
+    top = 2 ** 150 - 1
+    assert zeta6({(7,): {0: top}}) == {(7,): {0: top}, (6,): {0: top}, (3,): {0: top}}
+    assert moebius6({(5,): {0: -top}}) == {
+        (5,): {0: -top}, (4,): {0: top}, (7,): {0: top}, (6,): {0: -top}
+    }
