@@ -32,8 +32,6 @@ from .treedec import NiceTreeDecomposition
 from .walk import walk
 
 MEMBER_VERTEX_STATES = (1, 2)
-ROOT_OK_VERTEX = (1, 2, 3, 4)
-ROOT_OK_EDGE = (1, 2)
 
 
 class BagLayout:
@@ -139,10 +137,11 @@ def _local_rows(
 ) -> StateTable:
     """Bag-local rows of every selection among the slots in the bitmask
     free (bit p is slot p of layout); the other slots stay unselected.
-    Selections are inserted cheapest first, up to cost_cap."""
+    Selections are inserted cheapest first, up to cost_cap.  A selection
+    gives each vertex a candidate cell, which the merge kernel's rules
+    resolve as they resolve its combined cells."""
     table = StateTable(layout, track_witnesses)
     k = len(layout.vertices)
-    m = len(layout.edges)
     slots = [p for p in range(layout.width) if free >> p & 1]
     for choice in sorted(range(1 << len(slots)), key=int.bit_count):
         if cost_cap is not None and choice.bit_count() > cost_cap:
@@ -151,44 +150,27 @@ def _local_rows(
         for t, p in enumerate(slots):
             if choice >> t & 1:
                 bits |= 1 << p
-        member_v = [bits >> i & 1 for i in range(k)]
-        member_e = [bits >> (k + j) & 1 for j in range(m)]
-        edge_states = []
-        for j, (a, b) in enumerate(layout.edge_endpoints):
-            if member_e[j]:
-                edge_states.append(1)
-            elif (
-                member_v[a]
-                or member_v[b]
-                or any(member_e[p - k] for p in layout.incident[a] if p - k != j)
-                or any(member_e[p - k] for p in layout.incident[b] if p - k != j)
-            ):
-                edge_states.append(2)
-            else:
-                edge_states.append(3)
-        vertex_states = []
+        candidates: list[tuple[int, ...]] = []
         for i in range(k):
-            inc_md = any(member_e[p - k] for p in layout.incident[i])
-            if member_v[i]:
-                vertex_states.append(1 if inc_md else 2)
-            elif inc_md:
-                vertex_states.append(3)
+            marked = any(bits >> p & 1 for p in layout.incident[i])
+            if bits >> i & 1:
+                candidates.append((1,) if marked else (2,))
             else:
-                dominated = any(member_v[a] for a in layout.neighbors[i])
-                uncovered = any(edge_states[p - k] == 3 for p in layout.incident[i])
-                if dominated:
-                    vertex_states.append(6 if uncovered else 4)
-                else:
-                    vertex_states.append(7 if uncovered else 5)
+                candidates.append((3,) if marked else (4, 5, 6, 7))
+        edge_states = [
+            1 if bits >> (k + j) & 1 else _open_edge_state(candidates, x, y)
+            for j, (x, y) in enumerate(layout.edge_endpoints)
+        ]
+        vertex_states = _resolve_vertices(layout, candidates, edge_states)
         link = None
         if track_witnesses:
             mask = 0
-            for i in range(k):
-                if member_v[i]:
-                    mask |= 1 << layout.vertices[i]
-            for j in range(m):
-                if member_e[j]:
-                    mask |= 1 << (g.vertex_count + layout.edges[j])
+            for i, v in enumerate(layout.vertices):
+                if bits >> i & 1:
+                    mask |= 1 << v
+            for j, e in enumerate(layout.edges):
+                if bits >> (k + j) & 1:
+                    mask |= 1 << (g.vertex_count + e)
             link = (mask,)
         table.insert(
             tuple(vertex_states) + tuple(edge_states), choice.bit_count(), link
@@ -220,34 +202,42 @@ def _member_mask(states, k: int) -> int:
     return mask
 
 
+def _open_edge_state(candidates: list[tuple[int, ...]], x: int, y: int) -> int:
+    """State of an unselected bag edge between the vertex cells x and y:
+    dominated (2) iff an endpoint's cell is a member or carries a selected
+    edge (1, 2 or 3), else undominated (3)."""
+    if candidates[x][0] in (1, 2, 3) or candidates[y][0] in (1, 2, 3):
+        return 2
+    return 3
+
+
 def _resolve_vertices(
     layout: BagLayout,
     candidates: list[tuple[int, ...]],
     edge_states: list[int],
-) -> list[int] | None:
+) -> list[int]:
     """Second pass of a combine: fix multi-candidate vertex cells from the
-    already-resolved edge slots and the single-valued neighbor states."""
-    out = [c[0] if len(c) == 1 else 0 for c in candidates]
+    already-resolved edge slots and the single-valued neighbor states.
+    Every multi-candidate cell starts with 4 or 5, so a neighbor is a
+    member iff its cell's first candidate is."""
+    out = []
     k = len(layout.vertices)
     for i, cands in enumerate(candidates):
         if len(cands) == 1:
+            out.append(cands[0])
             continue
-        uncovered = any(edge_states[p - k] == 3 for p in layout.incident[i])
-        if cands == (4, 6) or cands == (5, 7):
-            out[i] = cands[1] if uncovered else cands[0]
-        elif cands == (4, 5) or cands == (4, 5, 6, 7):
+        if cands == (4, 5) or cands == (4, 5, 6, 7):
             dominated = any(
-                len(candidates[a]) == 1 and candidates[a][0] in MEMBER_VERTEX_STATES
-                for a in layout.neighbors[i]
+                candidates[a][0] in MEMBER_VERTEX_STATES for a in layout.neighbors[i]
             )
-            if cands == (4, 5):
-                out[i] = 4 if dominated else 5
-            elif dominated:
-                out[i] = 6 if uncovered else 4
-            else:
-                out[i] = 7 if uncovered else 5
-        else:
+            if len(cands) == 2:
+                out.append(4 if dominated else 5)
+                continue
+            cands = (4, 6) if dominated else (5, 7)
+        elif cands != (4, 6) and cands != (5, 7):
             raise AssertionError(f"unexpected candidate cell {cands}")
+        uncovered = any(edge_states[p - k] == 3 for p in layout.incident[i])
+        out.append(cands[1] if uncovered else cands[0])
     return out
 
 
@@ -348,8 +338,8 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
     A pair costs both costs minus the elements both sides select.  Pairs
     over cost_cap are skipped before their states are worked out.  A
     multi-candidate edge cell (the introduce's bag-locally undominated
-    edge) is dominated iff an endpoint's cell is a member or carries a
-    selected edge (1, 2 or 3); vertex cells then go to _resolve_vertices.
+    edge) is settled by _open_edge_state; vertex cells then go to
+    _resolve_vertices.
     """
     layout = result.layout
     track = result.track_witnesses
@@ -377,11 +367,9 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
                 if len(cell) == 1:
                     edge_states.append(cell[0])
                 else:
-                    x, y = layout.edge_endpoints[p - k]
-                    if candidates[x][0] in (1, 2, 3) or candidates[y][0] in (1, 2, 3):
-                        edge_states.append(2)
-                    else:
-                        edge_states.append(3)
+                    edge_states.append(
+                        _open_edge_state(candidates, *layout.edge_endpoints[p - k])
+                    )
             vertex_states = _resolve_vertices(layout, candidates, edge_states)
             result.insert(
                 tuple(vertex_states) + tuple(edge_states),
@@ -481,19 +469,6 @@ class _NineState:
             del rows[key]
         return table
 
-    def root_gamma(self, table: StateTable) -> int | None:
-        return min((entry[0] for entry in _root_rows(table)), default=None)
-
-
-def _root_rows(table: StateTable):
-    """The [cost, links] entries of the rows that are feasible at the root."""
-    k = len(table.layout.vertices)
-    for key, entry in table.rows.items():
-        if all(s in ROOT_OK_VERTEX for s in key[:k]) and all(
-            s in ROOT_OK_EDGE for s in key[k:]
-        ):
-            yield entry
-
 
 def row_witnesses(entries) -> set[int]:
     """Every partial solution of the given [cost, links] row entries, as
@@ -564,7 +539,10 @@ def run_dp(
 
     Returns the mixed domination number; with enumerate_sets, also every
     minimum mixed dominating set as a bitmask over V ∪ E (each re-checked
-    against the definition before being returned).
+    against the definition before being returned).  Both are read off the
+    one row left after the walk forgets the root bag (walk.py): its cost
+    is gamma, and since a forget keeps a row's cheapest cost and every
+    link that reaches it, its links lead to exactly the optimal root rows.
 
     cost_cap prunes rows costing more than the cap at every bag and turns
     on the cost window of walk.py, which also drops rows costing more than
@@ -573,12 +551,12 @@ def run_dp(
     as long as the cap is at least the size of some mixed dominating set,
     e.g. greedy_upper_bound.  Without a cap the tables are the full ones.
     """
-    root, gamma, tables = walk(
+    final, gamma, tables = walk(
         g, ntd, _NineState(enumerate_sets), tau, collect_tables, cost_cap
     )
     min_sets: frozenset[int] | None = None
     if enumerate_sets:
-        out = row_witnesses([e for e in _root_rows(root) if e[0] == gamma])
+        out = row_witnesses(final.rows.values())
         for mask in out:
             if not is_mixed_dominating_set(g, mask):
                 raise AssertionError(f"witness {mask:#x} is not a dominating set")

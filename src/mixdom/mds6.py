@@ -380,25 +380,14 @@ class _SixState:
         return min((min(ledger) for ledger in table.rows.values()), default=None)
 
     def drop_above(self, table: SixTable, limit: int) -> SixTable:
-        rows: Rows6 = {}
-        for key, ledger in table.rows.items():
-            if max(ledger) > limit:
-                ledger = {cost: n for cost, n in ledger.items() if cost <= limit}
+        rows = table.rows
+        for key in [key for key, ledger in rows.items() if max(ledger) > limit]:
+            ledger = {cost: n for cost, n in rows[key].items() if cost <= limit}
             if ledger:
                 rows[key] = ledger
-        return SixTable(table.vertices, rows)
-
-    def root_gamma(self, table: SixTable) -> int | None:
-        return min(
-            (
-                cost
-                for key, ledger in table.rows.items()
-                if all(s in SETTLED for s in key)
-                for cost, count in ledger.items()
-                if count
-            ),
-            default=None,
-        )
+            else:
+                del rows[key]
+        return table
 
 
 def run6(
@@ -408,7 +397,9 @@ def run6(
     collect_tables: bool = False,
     cost_cap: int | None = None,
 ) -> Run6Result:
-    """Run the six-state program and return the mixed domination number.
+    """Run the six-state program and return the mixed domination number,
+    the cheapest cost in the one row left after the walk forgets the root
+    bag (walk.py).
 
     cost_cap prunes ledger entries above the cap at every bag and turns on
     the cost window of walk.py, which also drops entries costing more than

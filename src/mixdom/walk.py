@@ -3,11 +3,13 @@ programs.
 
 walk() checks the decomposition against the graph, visits the bags of a
 very nice decomposition children first, hands each bag to the program's
-operation for its kind, releases child tables once their parent is built,
-and reads the optimum off the root table.  A program supplies a BagScheme:
-its leaf, introduce, forget and join operations, plus how to find the
-cheapest cost in a table, how to drop costs above a limit and how to read
-gamma from a root table.
+operation for its kind and releases child tables once their parent is
+built.  It then forgets the root bag's vertices in ascending order, and
+gamma is the cheapest cost in the one row left: a forget drops the rows
+its vertex cannot be completed from, so the forget rule is the root's
+feasibility test.  A program supplies a BagScheme: its leaf, introduce,
+forget and join operations, plus how to find the cheapest cost in a
+table and how to drop costs above a limit.
 
 Cost window.  When a cost_cap is given, every table is cut after its bag
 is built: rows (nine-state) or ledger entries (six-state) costing more
@@ -34,6 +36,7 @@ paper's worked examples and traces show.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Protocol, TypeVar
 
 from .graph import Graph
@@ -59,25 +62,29 @@ class BagScheme(Protocol[T]):
     def drop_above(self, table: T, limit: int) -> T:
         """The table without the costs above limit."""
 
-    def root_gamma(self, table: T) -> int | None:
-        """Cheapest cost of a feasible root row; None when there is none."""
-
 
 def _check_decomposition(g: Graph, ntd: NiceTreeDecomposition) -> None:
     """Raise ValueError unless every bag holds vertices of g and matches its
-    operation, and the bags cover every vertex and edge of g.
+    operation, every vertex leaves the decomposition exactly once, and the
+    bags cover every edge of g.
+
+    A vertex leaves at each forget of it, and at the root if the root bag
+    holds it.  With every bag matching its operation, the bags holding a
+    vertex form subtrees that are each left once: above a top bag other
+    than the root sits a bag without the vertex, and only a forget drops
+    one.  So one exit per vertex is the running-intersection property,
+    and it also puts every vertex in some bag.
 
     In a very nice decomposition every edge inside some bag is inside the
     bag that introduces its later endpoint, so edge coverage is read off
     the introduce bags alone.
     """
-    seen_vertices: set[int] = set()
+    exits = Counter(ntd.nodes[ntd.root].bag)
     seen_edges: set[int] = set()
     for node in ntd.nodes:
         for v in node.bag:
             if not 0 <= v < g.vertex_count:
                 raise ValueError(f"bag vertex {v} is not in the graph")
-        seen_vertices.update(node.bag)
         below = [ntd.nodes[c].bag for c in node.children]
         if node.kind == "leaf":
             expected = node.bag
@@ -90,15 +97,17 @@ def _check_decomposition(g: Graph, ntd: NiceTreeDecomposition) -> None:
             )
         elif node.kind == "forget":
             expected = below[0] - {node.vertex}
+            exits.update(below[0] - node.bag)
         elif node.kind == "join":
             expected = node.bag if below == [node.bag, node.bag] else None
         else:
             raise ValueError(f"unknown bag kind {node.kind}")
         if node.bag != expected:
             raise ValueError("bag content does not match the operation")
-    if seen_vertices != set(range(g.vertex_count)) or seen_edges != set(
-        range(g.edge_count)
-    ):
+    for v in range(g.vertex_count):
+        if exits[v] != 1:
+            raise ValueError(f"vertex {v} leaves the decomposition {exits[v]} times")
+    if seen_edges != set(range(g.edge_count)):
         raise ValueError("decomposition does not cover the graph")
 
 
@@ -111,13 +120,14 @@ def walk(
     cost_cap: int | None = None,
 ) -> tuple[T, int, tuple[T, ...] | None]:
     """Run one program along tau (default: postorder, root last) and return
-    the root table, gamma and, with collect_tables, every bag's table in
-    walk order.
+    the empty bag's table left after forgetting the root bag, gamma and,
+    with collect_tables, every bag's table in walk order.
 
     cost_cap is handed to every leaf, introduce and join operation (a
     forget keeps costs) and, when set, also turns on the cost window of
-    the module docstring.  Raises ValueError when the decomposition does
-    not fit the graph or no feasible root row is left under the cap.
+    the module docstring; the root bag's forgets are neither windowed nor
+    collected.  Raises ValueError when the decomposition does not fit the
+    graph or no feasible row is left under the cap.
     """
     if tau is None:
         tau = postorder_traversal(ntd)
@@ -147,10 +157,11 @@ def walk(
                 del tables[c]
         tables[idx] = t
 
-    root = tables[tau[-1]]
-    gamma = scheme.root_gamma(root)
+    for v in sorted(ntd.nodes[tau[-1]].bag):
+        t = scheme.forget(g, t, v)
+    gamma = scheme.min_cost(t)
     if gamma is None:
         if cost_cap is not None:
             raise ValueError(f"cost_cap {cost_cap} is below the optimum")
         raise AssertionError("no feasible root row; the full set always dominates")
-    return root, gamma, tuple(collected) if collect_tables else None
+    return t, gamma, tuple(collected) if collect_tables else None

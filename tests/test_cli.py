@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -348,3 +350,15 @@ def test_solve_does_not_import_the_reference_joins():
     modules = done.stdout.splitlines()[-1]
     assert "'mixdom.cli'" in modules
     assert "mixdom.reference" not in modules
+
+
+def test_every_traced_name_is_a_callable():
+    # the benchmark's trace patches these names from outside; a rename
+    # would leave its per-layer metrics null instead of failing a test
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/layers.py"))
+    names = [layers["ROOT_SPAN"][1:], *layers["SPANS"].values()]
+    for module, attribute in names:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (
+            module,
+            attribute,
+        )

@@ -34,12 +34,21 @@ def test_window_keeps_gamma_and_min_sets_at_every_root():
         label = f"n={g.vertex_count} edges={g.edges}"
         for root in range(len(td.bags)):
             ntd = make_very_nice(td, root=root)
-            nine = run_dp(g, ntd, enumerate_sets=True, cost_cap=cap)
-            assert nine.gamma == expected.gamma, (label, root)
-            assert nine.min_sets == expected.min_sets, (label, root)
-            assert run6(g, ntd, cost_cap=cap).gamma == expected.gamma, (label, root)
-            decompositions += 1
-    assert decompositions > 500
+            # the same decomposition without its final forget chain: its
+            # root bag holds several vertices and edges, and the walk's own
+            # forgets of that bag decide which rows are feasible
+            top = ntd.root
+            while ntd.nodes[top].kind == "forget":
+                top = ntd.nodes[top].children[0]
+            cut = NiceTreeDecomposition(list(ntd.nodes[: top + 1]), top)
+            for nice in (ntd, cut):
+                nine = run_dp(g, nice, enumerate_sets=True, cost_cap=cap)
+                assert nine.gamma == expected.gamma, (label, root)
+                assert nine.min_sets == expected.min_sets, (label, root)
+                six = run6(g, nice, cost_cap=cap)
+                assert six.gamma == expected.gamma, (label, root)
+                decompositions += 1
+    assert decompositions > 1000
 
 
 def test_window_bounds_ledgers_and_row_spread_on_a_random_tree():
@@ -80,4 +89,28 @@ def test_bag_that_does_not_match_its_operation_is_rejected():
     with pytest.raises(ValueError, match="does not match"):
         run_dp(g, ntd)
     with pytest.raises(ValueError, match="does not match"):
+        run6(g, ntd)
+
+
+def test_vertex_forgotten_in_both_branches_of_a_join_is_rejected():
+    # path 0-1-2: vertex 1 is forgotten below each side of the join at {0},
+    # so its bags form two subtrees and a walk would treat it as two
+    # vertices
+    g = path_graph(3)
+    nodes = [
+        NiceBag(frozenset({0}), "leaf", None, ()),
+        NiceBag(frozenset({0, 1}), "introduce", 1, (0,)),
+        NiceBag(frozenset({0}), "forget", 1, (1,)),
+        NiceBag(frozenset({0}), "leaf", None, ()),
+        NiceBag(frozenset({0, 2}), "introduce", 2, (3,)),
+        NiceBag(frozenset({0, 1, 2}), "introduce", 1, (4,)),
+        NiceBag(frozenset({0, 2}), "forget", 1, (5,)),
+        NiceBag(frozenset({0}), "forget", 2, (6,)),
+        NiceBag(frozenset({0}), "join", None, (2, 7)),
+    ]
+    ntd = NiceTreeDecomposition(nodes, 8)
+    assert brute_force(g).gamma == 1
+    with pytest.raises(ValueError, match="vertex 1 leaves the decomposition 2"):
+        run_dp(g, ntd, enumerate_sets=True)
+    with pytest.raises(ValueError, match="vertex 1 leaves the decomposition 2"):
         run6(g, ntd)
