@@ -6,32 +6,100 @@ to every bag vertex and bag edge (see tables.py for the state meanings),
 records the cheapest cost of any partial solution realizing those states,
 and optionally links to the rows it was built from at that cost.
 
-Rows are keyed by the full state tuple (vertex states in ascending vertex
-id order, then edge states in ascending edge order).  A row's states pin
-down exactly which bag elements its partial solutions select, which is
-what makes min-cost deduplication sound.
+Flag words.  Inside the engine a row is keyed by an integer with one byte
+per bag slot, slot p in bits 8p..8p+7 (vertices ascending by id, then the
+bag edges ascending).  A vertex byte holds four flags: MEMBER (selected),
+MARKED (has a selected incident edge), DOMINATED, and WAITING (has an
+undominated edge that was already forgotten).  An edge byte holds MEMBER
+and DOMINATED.  The nine states map onto flags as
 
-Bag operations follow the paper's rules: an introduce merges the child's
-table with the bag-local table through the ⋆_int/∗_int combination tables
-(introduce_combine), a join merges its two children's tables through
-⋆_join/∗_join, both in one pair-merge kernel (_merge_pairs), and a forget
-projects the vanished vertex away (forget_reduce).  run_dp uses the same
-kernel and leaves out only pairs that cannot add a row; the shortcuts
-section below says which.  The join that pairs every row with every row,
-join_combine, is a reference operation in reference.py.
+    vertex  1 M+K+D   2 M+D   3 K+D   4, 6 D   5, 7 none   8 D+W   9 W
+    edge    1 M+D     2 D     3 none
+
+A word is canonical when a member or marked vertex is dominated and not
+waiting, and a member edge is dominated; every word the engine builds is.
+States 6 and 7 are not stored: they are 4 and 5 with an undominated bag
+edge at the vertex, and the edge bytes of the same word say whether there
+is one.  So canonical words and nine-state tuples are one to one
+(decode_word, encode_row).
+
+Every flag is "some selected element does this", so the flags of the
+union of two partial solutions are the OR of their flags, with one
+correction: a member or marked vertex no longer waits, because its
+selection dominates its forgotten edges.  Each ⋆/∗ cell of tables.py is
+therefore `a | b` followed by one mask that clears WAITING under MEMBER or
+MARKED (test_tables.py checks this cell by cell).  The two-candidate cells
+(4 or 6, 5 or 7) need no lookup at all: the edge bytes of the union decide
+them when the word is decoded.
+
+Bag operations.  A leaf or bag-local table lists the words of every
+selection among its slots (_selections, built once per bag shape).  An
+introduce moves each child word into the new layout, adds the two cross
+terms the child decides (the new vertex is dominated by a member
+neighbour; a new edge is dominated by a member or marked old endpoint)
+and ORs in the bag-local words of the new vertex and its new edges.  A
+join groups the rows of both children by their member flags and ORs each
+pair of a group.  A forget tests the forgotten byte, marks the far end of
+each undominated bag edge as waiting and drops the forgotten bytes.  A
+pair costs both costs minus the elements both sides select.
+
+The paper's table-driven operations stay as the reference the engine is
+checked against: introduce_combine here and join_combine in reference.py
+merge decoded rows through ⋆_int/∗_int and ⋆_join/∗_join in one
+pair-merge kernel (_merge_pairs).  The engine (leaf_table,
+_introduce_extend, forget_reduce, _join_grouped) does not call them.
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graph import Graph, is_mixed_dominating_set
-from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
+from .tables import AST_INT, STAR_INT, PoisonCellError
 from .treedec import NiceTreeDecomposition
 from .walk import walk
 
 MEMBER_VERTEX_STATES = (1, 2)
+
+MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
+# state 0 (slot unused) only ever appears in rows built by hand
+UNUSED = 16
+
+VERTEX_BYTE = {
+    0: UNUSED,
+    1: MEMBER | MARKED | DOMINATED,
+    2: MEMBER | DOMINATED,
+    3: MARKED | DOMINATED,
+    4: DOMINATED,
+    5: 0,
+    6: DOMINATED,
+    7: 0,
+    8: DOMINATED | WAITING,
+    9: WAITING,
+}
+EDGE_BYTE = {0: UNUSED, 1: MEMBER | DOMINATED, 2: DOMINATED, 3: 0}
+# vertex byte -> (state when every incident bag edge is dominated, state
+# when one is not)
+VERTEX_STATES = {
+    UNUSED: (0, 0),
+    MEMBER | MARKED | DOMINATED: (1, 1),
+    MEMBER | DOMINATED: (2, 2),
+    MARKED | DOMINATED: (3, 3),
+    DOMINATED: (4, 6),
+    0: (5, 7),
+    DOMINATED | WAITING: (8, 8),
+    WAITING: (9, 9),
+}
+EDGE_STATES = {UNUSED: 0, MEMBER | DOMINATED: 1, DOMINATED: 2, 0: 3}
+
+
+def byte_ones(count: int) -> int:
+    """A word with bit 0 set in each of its first count bytes."""
+    return int.from_bytes(b"\x01" * count, "little")
 
 
 class BagLayout:
@@ -69,42 +137,102 @@ class BagLayout:
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
+    def slot_bits(self, g: Graph) -> list[int]:
+        """Per slot, the global element bit of its vertex or edge."""
+        bits = [1 << v for v in self.vertices]
+        return bits + [1 << (g.vertex_count + e) for e in self.edges]
+
+
+def _open_vertices(layout: BagLayout, edge_states) -> list[bool]:
+    """Per bag vertex, whether one of its bag edges is undominated (3)."""
+    open_at = [False] * len(layout.vertices)
+    for (a, b), s in zip(layout.edge_endpoints, edge_states):
+        if s == 3:
+            open_at[a] = open_at[b] = True
+    return open_at
+
+
+def decode_word(layout: BagLayout, word: int) -> tuple[int, ...]:
+    """The nine-state tuple of a flag word: vertex states, then edge
+    states.  A dominated or undominated vertex is 6 or 7 when one of its
+    bag edges is undominated, else 4 or 5."""
+    k = len(layout.vertices)
+    data = word.to_bytes(layout.width, "little")
+    edges = [EDGE_STATES[b] for b in data[k:]]
+    open_at = _open_vertices(layout, edges)
+    return tuple([VERTEX_STATES[data[i]][open_at[i]] for i in range(k)] + edges)
+
+
+def encode_row(layout: BagLayout, key) -> int:
+    """The flag word of a nine-state tuple.  Raises ValueError for a tuple
+    that no word stands for: a wrong length, an unknown state, or a vertex
+    whose 4/5 or 6/7 contradicts its bag edges."""
+    key = tuple(key)
+    k = len(layout.vertices)
+    word = 0
+    try:
+        if len(key) != layout.width:
+            raise KeyError(len(key))
+        for p, s in enumerate(key):
+            word |= (VERTEX_BYTE[s] if p < k else EDGE_BYTE[s]) << 8 * p
+    except (KeyError, TypeError):
+        raise ValueError(f"{key} is not a row of this bag") from None
+    open_at = _open_vertices(layout, key[k:])
+    for i in range(k):
+        if key[i] in (4, 5, 6, 7) and (key[i] >= 6) != open_at[i]:
+            raise ValueError(f"{key} contradicts its own bag edges")
+    return word
+
 
 class StateTable:
-    """Rows of one bag, deduplicated by state tuple keeping minimum cost.
+    """Rows of one bag, deduplicated by flag word keeping minimum cost.
 
-    rows maps the state tuple to [cost, links].  links is None when
-    enumeration is off, else a list with one link per way the row reaches
-    its cost.  A link is a tuple of parts, each a global element bitmask
-    (a bag-local selection) or the [cost, links] entry of a row it was
-    built from: (local row, child row) at an introduce, (left row, right
-    row) at a join, (child row,) at a forget.  The row's partial solutions
-    are the union, over its links, of the ORs of one solution per part;
-    row_witnesses expands them.
+    words maps a row's flag word (see the module docstring) to [cost,
+    links]; rows is the same table keyed by nine-state tuples, decoded
+    on demand, and insert adds a row given as a tuple.  links is None
+    when enumeration is off, else a list with one link per way the row
+    reaches its cost.  A link is a tuple of parts, each a global element
+    bitmask (a bag-local selection) or the [cost, links] entry of a row it
+    was built from: (selection, child row) at an introduce, (left row,
+    right row) at a join, (child row,) at a forget.  The row's partial
+    solutions are the union, over its links, of the ORs of one solution
+    per part; row_witnesses expands them.
+
+    Words and tuples are one to one, so keying by words deduplicates
+    exactly as keying by tuples did: a row's states pin down which bag
+    elements its partial solutions select, which is what makes min-cost
+    deduplication sound.
 
     A table holds no cost cap.  Costs never decrease along the dynamic
     program (introduces add selections, forgets keep cost, joins charge at
     least each side's cost), so the operations drop a row over the cap
-    where its cost is formed: _local_rows stops at the cap and
-    _merge_pairs skips over-cap pairs.  Capping at the size of any known
-    mixed dominating set is lossless for the optimum and for enumeration
-    while keeping tables small on dense bags.  The tighter per-bag cost
-    window that run_dp adds under a cap lives in walk.py, together with
-    its soundness argument.
+    where its cost is formed: bag-local selections stop at the cap and the
+    merges skip over-cap pairs.  Capping at the size of any known mixed
+    dominating set is lossless for the optimum and for enumeration while
+    keeping tables small on dense bags.  Under a cap the merges also stop
+    at the cost window of walk.py, whose soundness argument is there.
     """
 
     def __init__(self, layout: BagLayout, track_witnesses: bool):
         self.layout = layout
         self.track_witnesses = track_witnesses
-        self.rows: dict[tuple[int, ...], list] = {}
+        self.words: dict[int, list] = {}
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
 
     def insert(self, key: tuple[int, ...], cost: int, link: tuple | None) -> None:
-        """Record link as one way to reach the row key at cost: a cheaper
+        """Record link as one way to reach the row key (a tuple) at cost."""
+        self.add(encode_row(self.layout, key), cost, link)
+
+    def add(self, word: int, cost: int, link: tuple | None) -> None:
+        """Record link as one way to reach the row word at cost: a cheaper
         cost replaces the row's links, an equal one adds to them and a
         dearer one is dropped.  link is ignored when enumeration is off."""
-        entry = self.rows.get(key)
+        entry = self.words.get(word)
         if entry is None:
-            self.rows[key] = [cost, [link] if self.track_witnesses else None]
+            self.words[word] = [cost, [link] if self.track_witnesses else None]
         elif cost < entry[0]:
             entry[0] = cost
             if self.track_witnesses:
@@ -113,7 +241,75 @@ class StateTable:
             entry[1].append(link)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.words)
+
+
+class RowView(Mapping):
+    """A table's rows keyed by nine-state tuples.  Keys are decoded as they
+    are read; values() hands out the entries without decoding."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: StateTable):
+        self._table = table
+
+    def __getitem__(self, key) -> list:
+        try:
+            word = encode_row(self._table.layout, key)
+        except ValueError:
+            raise KeyError(key) from None
+        return self._table.words[word]
+
+    def __iter__(self):
+        layout = self._table.layout
+        return (decode_word(layout, word) for word in self._table.words)
+
+    def __len__(self) -> int:
+        return len(self._table.words)
+
+    def items(self):
+        layout = self._table.layout
+        return [(decode_word(layout, w), e) for w, e in self._table.words.items()]
+
+    def values(self):
+        return self._table.words.values()
+
+
+# -- bag-local selections ---------------------------------------------------
+
+
+@lru_cache(maxsize=4096)
+def _selections(k: int, edge_endpoints: tuple, free: tuple[int, ...]) -> tuple:
+    """Bag-local words of every selection among the slots free, for a bag
+    of k vertices with these edges, cheapest first: (cost, word, keep,
+    selected slots).  keep clears WAITING at the vertices the selection
+    makes members or marks, for the union with a child word.
+
+    A selected vertex or edge is a member; an edge's endpoints are marked;
+    a vertex is dominated when it or a neighbour is a member or it is
+    marked; an edge is dominated when it is a member or an endpoint is a
+    member or marked.  The cache is keyed by the bag's shape (vertex
+    count, edge endpoint positions), never by its vertex or edge ids.
+    """
+    out = []
+    for choice in sorted(range(1 << len(free)), key=int.bit_count):
+        chosen = tuple(p for t, p in enumerate(free) if choice >> t & 1)
+        word = 0
+        for p in chosen:
+            word |= (MEMBER | DOMINATED) << 8 * p
+        for j, (a, b) in enumerate(edge_endpoints):
+            if word >> 8 * (k + j) & MEMBER:
+                word |= (MARKED | DOMINATED) << 8 * a | (MARKED | DOMINATED) << 8 * b
+        for j, (a, b) in enumerate(edge_endpoints):
+            if word >> 8 * a & MEMBER:
+                word |= DOMINATED << 8 * b
+            if word >> 8 * b & MEMBER:
+                word |= DOMINATED << 8 * a
+            if (word >> 8 * a | word >> 8 * b) & (MEMBER | MARKED):
+                word |= DOMINATED << 8 * (k + j)
+        keep = ~(((word | word >> 1) & byte_ones(k)) << 3)
+        out.append((len(chosen), word, keep, chosen))
+    return tuple(out)
 
 
 def enumerate_btable(
@@ -123,58 +319,17 @@ def enumerate_btable(
     cost_cap: int | None = None,
 ) -> StateTable:
     """Bag-local table: one row per subset of the bag's vertices and
-    induced edges, with states derived straight from the subset."""
+    induced edges, with states derived straight from the subset, up to
+    cost_cap."""
     layout = BagLayout(g, bag_vertices)
-    return _local_rows(g, layout, (1 << layout.width) - 1, track_witnesses, cost_cap)
-
-
-def _local_rows(
-    g: Graph,
-    layout: BagLayout,
-    free: int,
-    track_witnesses: bool,
-    cost_cap: int | None,
-) -> StateTable:
-    """Bag-local rows of every selection among the slots in the bitmask
-    free (bit p is slot p of layout); the other slots stay unselected.
-    Selections are inserted cheapest first, up to cost_cap.  A selection
-    gives each vertex a candidate cell, which the merge kernel's rules
-    resolve as they resolve its combined cells."""
     table = StateTable(layout, track_witnesses)
-    k = len(layout.vertices)
-    slots = [p for p in range(layout.width) if free >> p & 1]
-    for choice in sorted(range(1 << len(slots)), key=int.bit_count):
-        if cost_cap is not None and choice.bit_count() > cost_cap:
+    bits = layout.slot_bits(g)
+    for cost, word, _, chosen in _selections(
+        len(layout.vertices), layout.edge_endpoints, tuple(range(layout.width))
+    ):
+        if cost_cap is not None and cost > cost_cap:
             break
-        bits = 0
-        for t, p in enumerate(slots):
-            if choice >> t & 1:
-                bits |= 1 << p
-        candidates: list[tuple[int, ...]] = []
-        for i in range(k):
-            marked = any(bits >> p & 1 for p in layout.incident[i])
-            if bits >> i & 1:
-                candidates.append((1,) if marked else (2,))
-            else:
-                candidates.append((3,) if marked else (4, 5, 6, 7))
-        edge_states = [
-            1 if bits >> (k + j) & 1 else _open_edge_state(candidates, x, y)
-            for j, (x, y) in enumerate(layout.edge_endpoints)
-        ]
-        vertex_states = _resolve_vertices(layout, candidates, edge_states)
-        link = None
-        if track_witnesses:
-            mask = 0
-            for i, v in enumerate(layout.vertices):
-                if bits >> i & 1:
-                    mask |= 1 << v
-            for j, e in enumerate(layout.edges):
-                if bits >> (k + j) & 1:
-                    mask |= 1 << (g.vertex_count + e)
-            link = (mask,)
-        table.insert(
-            tuple(vertex_states) + tuple(edge_states), choice.bit_count(), link
-        )
+        table.add(word, cost, (sum(bits[p] for p in chosen),))
     return table
 
 
@@ -190,6 +345,237 @@ def leaf_table(
     if len(bag) != 1:
         raise ValueError(f"leaf bag must be a single vertex, got {sorted(bag)}")
     return enumerate_btable(g, bag, track_witnesses, cost_cap)
+
+
+# -- the engine's bag operations --------------------------------------------
+#
+# The cumulative tables are closed under adding bag elements to a partial
+# solution (domination only improves, so survival at earlier forgets is
+# preserved).  So at an introduce bag, a bag-local row that re-selects
+# elements the child already knows adds nothing: pairing the enriched
+# child row with a smaller local row gives the same union at the same cost
+# and partial solutions.  An introduce therefore merges the child only with
+# the selections among the new vertex and its new edges.  At a join, pairs
+# disagreeing on membership are redundant for the same reason, so rows are
+# paired within groups sharing the selected bag elements.  test_dp.py
+# checks both against the reference operations that pair every row.
+
+
+def _runs(moves) -> tuple[tuple[int, int], ...]:
+    """Group (source slot, target slot) moves, both ascending, into runs of
+    adjacent slots that move the same distance: (source bit mask, distance
+    in bits) per run."""
+    runs: list[list[int]] = []
+    last = None
+    for src, dst in moves:
+        shift = 8 * abs(dst - src)
+        if runs and last == src - 1 and runs[-1][1] == shift:
+            runs[-1][0] |= 0xFF << 8 * src
+        else:
+            runs.append([0xFF << 8 * src, shift])
+        last = src
+    return tuple((mask, shift) for mask, shift in runs)
+
+
+@lru_cache(maxsize=4096)
+def _introduce_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
+    """How a bag of k vertices with these edges is built from its child,
+    the same bag without the vertex at position pos: the runs that move a
+    child word into place, the child's member flags of the new vertex's
+    neighbours, the new vertex's DOMINATED flag, per new edge (shift of its
+    old endpoint in the child word, the edge's DOMINATED flag), and the
+    bag-local selections of the new vertex and its new edges."""
+    old_vertices = [i for i in range(k) if i != pos]
+    at = {i: c for c, i in enumerate(old_vertices)}
+    new_edges = [j for j, ends in enumerate(edge_endpoints) if pos in ends]
+    old_edges = [j for j in range(len(edge_endpoints)) if j not in new_edges]
+    runs = _runs(
+        list(enumerate(old_vertices))
+        + [(k - 1 + c, k + j) for c, j in enumerate(old_edges)]
+    )
+    neighbor_members = 0
+    cross = []
+    for j in new_edges:
+        a, b = edge_endpoints[j]
+        u = at[b if a == pos else a]
+        neighbor_members |= MEMBER << 8 * u
+        cross.append((8 * u, DOMINATED << 8 * (k + j)))
+    free = (pos,) + tuple(k + j for j in new_edges)
+    local = _selections(k, edge_endpoints, free)
+    return runs, neighbor_members, DOMINATED << 8 * pos, tuple(cross), local
+
+
+def _introduce_extend(
+    g: Graph,
+    stable_child: StateTable,
+    v_new: int,
+    cost_cap: int | None = None,
+) -> StateTable:
+    child = stable_child.layout
+    if v_new in child.vpos:
+        raise ValueError(f"vertex {v_new} is already in the bag")
+    layout = BagLayout(g, child.vertices + (v_new,))
+    k = len(layout.vertices)
+    runs, neighbor_members, v_dominated, cross, local = _introduce_shape(
+        k, layout.edge_endpoints, layout.vpos[v_new]
+    )
+    track = stable_child.track_witnesses
+    result = StateTable(layout, track)
+    rows = stable_child.words
+    if not rows:
+        return result
+    # the empty selection keeps every child row at its cost, so the child's
+    # minimum is the result's and the walk's window is known up front
+    limit = sys.maxsize
+    if cost_cap is not None:
+        limit = min(cost_cap, min(entry[0] for entry in rows.values()) + k)
+    if track:
+        bits = layout.slot_bits(g)
+        local = [(c, w, m, sum(bits[p] for p in ps)) for c, w, m, ps in local]
+    # the pair loops of introduce and join insert as StateTable.add does,
+    # written out because they are where the engine spends its time
+    out = result.words
+    get = out.get
+    for cword, centry in rows.items():
+        ccost = centry[0]
+        base = 0
+        for mask, shift in runs:
+            base |= (cword & mask) << shift
+        if cword & neighbor_members:
+            base |= v_dominated
+        for shift, edge_dominated in cross:
+            if cword >> shift & (MEMBER | MARKED):
+                base |= edge_dominated
+        for lcost, lword, keep, selection in local:
+            cost = ccost + lcost
+            if cost > limit:
+                break
+            word = (base | lword) & keep
+            entry = get(word)
+            if entry is None:
+                out[word] = [cost, [(selection, centry)] if track else None]
+            elif cost < entry[0]:
+                entry[0] = cost
+                if track:
+                    entry[1] = [(selection, centry)]
+            elif cost == entry[0] and track:
+                entry[1].append((selection, centry))
+    return result
+
+
+@lru_cache(maxsize=4096)
+def _forget_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
+    """How a bag of k vertices with these edges loses the vertex at
+    position pos: per incident edge (shift of its byte, WAITING flag of its
+    far end), the DOMINATED flags of all incident edges, and the runs that
+    move the kept bytes down into the smaller bag's word."""
+    incident = []
+    all_dominated = 0
+    dropped = {pos}
+    for j, (a, b) in enumerate(edge_endpoints):
+        if pos in (a, b):
+            incident.append((8 * (k + j), WAITING << 8 * (b if a == pos else a)))
+            all_dominated |= DOMINATED << 8 * (k + j)
+            dropped.add(k + j)
+    kept = [p for p in range(k + len(edge_endpoints)) if p not in dropped]
+    runs = _runs((p, t) for t, p in enumerate(kept))
+    return tuple(incident), all_dominated, runs
+
+
+def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTable:
+    """Remove a vertex from the table, dropping rows it invalidates.
+
+    A row dies when the forgotten vertex is undominated (5, 7, 9) or
+    still waits on an already-forgotten undominated edge (8): nothing
+    later can fix either, and one byte test finds both.  When it leaves
+    behind undominated bag edges (state 6), each such edge's surviving
+    endpoint is marked as waiting (4 or 6 becomes 8, 5 or 7 becomes 9);
+    only a future selected edge at that endpoint can clear the mark.
+    Costs are kept, so a forget needs no cost cap.
+    """
+    child = stable_child.layout
+    if forgotten not in child.vpos:
+        raise ValueError(f"vertex {forgotten} is not in the bag")
+    layout = BagLayout(g, [v for v in child.vertices if v != forgotten])
+    upos = child.vpos[forgotten]
+    incident, all_dominated, runs = _forget_shape(
+        len(child.vertices), child.edge_endpoints, upos
+    )
+    track = stable_child.track_witnesses
+    result = StateTable(layout, track)
+    shift = 8 * upos
+    for cword, entry in stable_child.words.items():
+        if cword >> shift & (DOMINATED | WAITING) != DOMINATED:
+            continue
+        if cword & all_dominated != all_dominated:
+            for edge_shift, far_waiting in incident:
+                if not cword >> edge_shift & DOMINATED:
+                    cword |= far_waiting
+        word = 0
+        for mask, down in runs:
+            word |= (cword & mask) >> down
+        result.add(word, entry[0], (entry,) if track else None)
+    return result
+
+
+def _join_grouped(
+    g: Graph,
+    stable_a: StateTable,
+    stable_b: StateTable,
+    cost_cap: int | None = None,
+) -> StateTable:
+    if stable_a.layout != stable_b.layout:
+        raise ValueError("join children must share the same bag layout")
+    layout = stable_a.layout
+    k = len(layout.vertices)
+    track = stable_a.track_witnesses and stable_b.track_witnesses
+    result = StateTable(layout, track)
+    members = byte_ones(layout.width)
+    vertex_ones = byte_ones(k)
+    waiting = vertex_ones * WAITING
+    # member flags -> (rows of a, rows of b) selecting exactly those
+    # elements, as (cost, word, entry) tuples, each list cheapest first
+    groups: dict[int, tuple[list, list]] = {}
+    for row in sorted((e[0], w, e) for w, e in stable_a.words.items()):
+        groups.setdefault(row[1] & members, ([], []))[0].append(row)
+    for row in sorted((e[0], w, e) for w, e in stable_b.words.items()):
+        group = groups.get(row[1] & members)
+        if group is not None:
+            group[1].append(row)
+    pairs = [(m.bit_count(), ra, rb) for m, (ra, rb) in groups.items() if rb]
+    limit = sys.maxsize
+    if cost_cap is not None and pairs:
+        # the cheapest pair of each group is known before any is formed
+        low = min(ra[0][0] + rb[0][0] - shared for shared, ra, rb in pairs)
+        limit = min(cost_cap, low + k)
+    out = result.words
+    get = out.get
+    for shared, ra, rb in pairs:
+        bmin = rb[0][0]
+        for acost, aword, aentry in ra:
+            acost -= shared
+            if acost + bmin > limit:
+                break
+            for bcost, bword, bentry in rb:
+                cost = acost + bcost
+                if cost > limit:
+                    break
+                word = aword | bword
+                if word & waiting:
+                    word &= ~(((word | word >> 1) & vertex_ones) << 3)
+                entry = get(word)
+                if entry is None:
+                    out[word] = [cost, [(aentry, bentry)] if track else None]
+                elif cost < entry[0]:
+                    entry[0] = cost
+                    if track:
+                        entry[1] = [(aentry, bentry)]
+                elif cost == entry[0] and track:
+                    entry[1].append((aentry, bentry))
+    return result
+
+
+# -- the paper's table-driven operations (reference) ------------------------
 
 
 def _member_mask(states, k: int) -> int:
@@ -272,53 +658,6 @@ def introduce_combine(
     return result
 
 
-def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTable:
-    """Remove a vertex from the table, dropping rows it invalidates.
-
-    A row dies when the forgotten vertex is undominated (5, 7, 9) or
-    still waits on an already-forgotten undominated edge (8): nothing
-    later can fix either.  When it leaves behind undominated bag edges
-    (state 6), each such edge's surviving endpoint is marked as carrying a
-    forgotten undominated edge (4 or 6 becomes 8, 5 or 7 becomes 9); only
-    a future selected edge at that endpoint can clear the mark.  Costs are
-    kept, so a forget needs no cost cap.
-    """
-    child = stable_child.layout
-    if forgotten not in child.vpos:
-        raise ValueError(f"vertex {forgotten} is not in the bag")
-    layout = BagLayout(g, [v for v in child.vertices if v != forgotten])
-    track = stable_child.track_witnesses
-    result = StateTable(layout, track)
-    upos = child.vpos[forgotten]
-    k = len(child.vertices)
-    keep_v = [i for i in range(k) if i != upos]
-    keep_e = [child.epos[e] for e in layout.edges]
-
-    for ckey, entry in stable_child.rows.items():
-        su = ckey[upos]
-        if su in (5, 7, 8, 9):
-            continue
-        states = list(ckey)
-        if su == 6:
-            for p in child.incident[upos]:
-                if states[p] != 3:
-                    continue
-                a, b = child.edge_endpoints[p - k]
-                x = b if a == upos else a
-                sx = states[x]
-                if sx in (4, 6):
-                    states[x] = 8
-                elif sx in (5, 7):
-                    states[x] = 9
-                elif sx not in (8, 9):
-                    raise AssertionError(
-                        f"endpoint of an undominated edge in state {sx}"
-                    )
-        key = tuple(states[i] for i in keep_v) + tuple(states[p] for p in keep_e)
-        result.insert(key, entry[0], (entry,) if track else None)
-    return result
-
-
 def _rows(table: StateTable) -> list[tuple]:
     """The table's rows as (states, cost, entry, member mask) tuples."""
     k = len(table.layout.vertices)
@@ -378,61 +717,6 @@ def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> Non
             )
 
 
-# -- shortcuts run_dp takes -------------------------------------------------
-#
-# The cumulative tables are closed under adding bag elements to a partial
-# solution (domination only improves, so survival at earlier forgets is
-# preserved).  So at an introduce bag, a bag-local row that re-selects
-# elements the child already knows adds nothing: pairing the enriched
-# child row with a smaller local row gives the same union at the same cost
-# and partial solutions.  run_dp therefore merges the child only with the
-# local rows that select among the new vertex and its new edges.  At a join,
-# pairs disagreeing on membership are redundant for the same reason, so
-# rows are paired within groups sharing the selected bag elements.  Both
-# shortcuts feed the same _merge_pairs as the full operations.
-# test_dp.py checks both against the full pairing operations.
-
-
-def _introduce_extend(
-    g: Graph,
-    stable_child: StateTable,
-    v_new: int,
-    cost_cap: int | None = None,
-) -> StateTable:
-    child = stable_child.layout
-    if v_new in child.vpos:
-        raise ValueError(f"vertex {v_new} is already in the bag")
-    layout = BagLayout(g, child.vertices + (v_new,))
-    pos = layout.vpos[v_new]
-    # the new vertex and its bag edges, all of which are new
-    free = 1 << pos
-    for p in layout.incident[pos]:
-        free |= 1 << p
-    local = _local_rows(g, layout, free, stable_child.track_witnesses, cost_cap)
-    return introduce_combine(g, stable_child, local, cost_cap)
-
-
-def _join_grouped(
-    g: Graph,
-    stable_a: StateTable,
-    stable_b: StateTable,
-    cost_cap: int | None = None,
-) -> StateTable:
-    if stable_a.layout != stable_b.layout:
-        raise ValueError("join children must share the same bag layout")
-    # member mask -> (rows of a, rows of b) selecting exactly those elements
-    groups: dict[int, tuple[list, list]] = {}
-    for side, table in enumerate((stable_a, stable_b)):
-        for row in _rows(table):
-            groups.setdefault(row[3], ([], []))[side].append(row)
-    result = StateTable(
-        stable_a.layout, stable_a.track_witnesses and stable_b.track_witnesses
-    )
-    for rows_a, rows_b in groups.values():
-        _merge_pairs(result, rows_a, rows_b, STAR_JOIN, AST_JOIN, cost_cap)
-    return result
-
-
 @dataclass(frozen=True)
 class DPResult:
     gamma: int
@@ -461,12 +745,12 @@ class _NineState:
         return _join_grouped(g, left, right, cost_cap)
 
     def min_cost(self, table: StateTable) -> int | None:
-        return min((entry[0] for entry in table.rows.values()), default=None)
+        return min((entry[0] for entry in table.words.values()), default=None)
 
     def drop_above(self, table: StateTable, limit: int) -> StateTable:
-        rows = table.rows
-        for key in [key for key, entry in rows.items() if entry[0] > limit]:
-            del rows[key]
+        words = table.words
+        for word in [word for word, entry in words.items() if entry[0] > limit]:
+            del words[word]
         return table
 
 
@@ -556,7 +840,7 @@ def run_dp(
     )
     min_sets: frozenset[int] | None = None
     if enumerate_sets:
-        out = row_witnesses(final.rows.values())
+        out = row_witnesses(final.words.values())
         for mask in out:
             if not is_mixed_dominating_set(g, mask):
                 raise AssertionError(f"witness {mask:#x} is not a dominating set")
@@ -578,8 +862,8 @@ def render_table(t: StateTable) -> str:
         header += f"; edges: {header_e}"
     lines = [header]
     k = len(layout.vertices)
-    for key in sorted(t.rows):
-        cost = t.rows[key][0]
+    for key, entry in sorted(t.rows.items()):
+        cost = entry[0]
         vs = " ".join(map(str, key[:k]))
         es = " ".join(map(str, key[k:]))
         lines.append(f"{vs} | {es} | {cost}")

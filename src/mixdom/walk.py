@@ -1,15 +1,16 @@
 """The bag walk shared by the nine-state (dp.py) and six-state (mds6.py)
 programs.
 
-walk() checks the decomposition against the graph, visits the bags of a
-very nice decomposition children first, hands each bag to the program's
-operation for its kind and releases child tables once their parent is
-built.  It then forgets the root bag's vertices in ascending order, and
-gamma is the cheapest cost in the one row left: a forget drops the rows
-its vertex cannot be completed from, so the forget rule is the root's
-feasibility test.  A program supplies a BagScheme: its leaf, introduce,
-forget and join operations, plus how to find the cheapest cost in a
-table and how to drop costs above a limit.
+walk() checks the decomposition against the graph, reading the bags it
+reaches from the root and requiring it to reach each one once, visits the
+bags of a very nice decomposition children first, hands each bag to the
+program's operation for its kind and releases child tables once their
+parent is built.  It then forgets the root bag's vertices in ascending
+order, and gamma is the cheapest cost in the one row left: a forget drops
+the rows its vertex cannot be completed from, so the forget rule is the
+root's feasibility test.  A program supplies a BagScheme: its leaf,
+introduce, forget and join operations, plus how to find the cheapest cost
+in a table and how to drop costs above a limit.
 
 Cost window.  When a cost_cap is given, every table is cut after its bag
 is built: rows (nine-state) or ledger entries (six-state) costing more
@@ -29,6 +30,13 @@ This is exact for the optimum and for the family of minimum sets:
     through a bag vertex).  Its size is at most cost(R0) + k + |F|, which
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
+
+The nine-state introduce and join stop at the window while they merge.
+Their table's minimum is known before any pair is formed (an introduce
+keeps its child's minimum through the empty local selection; a join's is
+the least, over groups of rows selecting the same bag elements, of the
+two group minima minus the shared selections), so the pairs they skip
+are exactly the rows this cut would drop.
 
 Without a cost_cap nothing is cut, so the tables are the full ones the
 paper's worked examples and traces show.
@@ -63,10 +71,21 @@ class BagScheme(Protocol[T]):
         """The table without the costs above limit."""
 
 
-def _check_decomposition(g: Graph, ntd: NiceTreeDecomposition) -> None:
-    """Raise ValueError unless every bag holds vertices of g and matches its
-    operation, every vertex leaves the decomposition exactly once, and the
-    bags cover every edge of g.
+_ARITY = {"leaf": 0, "introduce": 1, "forget": 1, "join": 2}
+
+
+def _check_decomposition(
+    g: Graph, ntd: NiceTreeDecomposition, tau: list[int] | None
+) -> list[int]:
+    """Raise ValueError unless the decomposition is a tree of bags that fits
+    g, and return the order to walk it in: tau, or a postorder by default.
+
+    The check walks the tree from ntd.root and reads only what it reaches:
+    every node must be reached exactly once (no unreachable bag, no child
+    listed twice), hold vertices of g and match its operation, every
+    vertex must leave the decomposition exactly once, and the bags must
+    cover every edge of g.  A given tau must list every node once, each
+    after its children, which puts the root last.
 
     A vertex leaves at each forget of it, and at the root if the root bag
     holds it.  With every bag matching its operation, the bags holding a
@@ -79,13 +98,32 @@ def _check_decomposition(g: Graph, ntd: NiceTreeDecomposition) -> None:
     bag that introduces its later endpoint, so edge coverage is read off
     the introduce bags alone.
     """
-    exits = Counter(ntd.nodes[ntd.root].bag)
+    nodes = ntd.nodes
+    if not 0 <= ntd.root < len(nodes):
+        raise ValueError(f"root {ntd.root} is not a node")
+    exits = Counter(nodes[ntd.root].bag)
     seen_edges: set[int] = set()
-    for node in ntd.nodes:
+    reached = [False] * len(nodes)
+    reached[ntd.root] = True
+    walked = 0
+    stack = [ntd.root]
+    while stack:
+        idx = stack.pop()
+        walked += 1
+        node = nodes[idx]
+        if _ARITY.get(node.kind) != len(node.children):
+            raise ValueError(
+                f"bag {idx} of kind {node.kind} has {len(node.children)} children"
+            )
+        for c in node.children:
+            if not 0 <= c < len(nodes) or reached[c]:
+                raise ValueError(f"node {c} is reached twice or does not exist")
+            reached[c] = True
+            stack.append(c)
         for v in node.bag:
             if not 0 <= v < g.vertex_count:
                 raise ValueError(f"bag vertex {v} is not in the graph")
-        below = [ntd.nodes[c].bag for c in node.children]
+        below = [nodes[c].bag for c in node.children]
         if node.kind == "leaf":
             expected = node.bag
         elif node.kind == "introduce":
@@ -98,17 +136,32 @@ def _check_decomposition(g: Graph, ntd: NiceTreeDecomposition) -> None:
         elif node.kind == "forget":
             expected = below[0] - {node.vertex}
             exits.update(below[0] - node.bag)
-        elif node.kind == "join":
-            expected = node.bag if below == [node.bag, node.bag] else None
         else:
-            raise ValueError(f"unknown bag kind {node.kind}")
+            expected = node.bag if below == [node.bag, node.bag] else None
         if node.bag != expected:
             raise ValueError("bag content does not match the operation")
+    if walked != len(nodes):
+        raise ValueError(
+            f"{len(nodes) - walked} bags are not reachable from the root"
+        )
     for v in range(g.vertex_count):
         if exits[v] != 1:
             raise ValueError(f"vertex {v} leaves the decomposition {exits[v]} times")
     if seen_edges != set(range(g.edge_count)):
         raise ValueError("decomposition does not cover the graph")
+    if tau is None:
+        return postorder_traversal(ntd)
+    done = [False] * len(nodes)
+    for idx in tau:
+        if not 0 <= idx < len(nodes) or done[idx]:
+            raise ValueError(f"tau lists node {idx} twice or does not exist")
+        for c in nodes[idx].children:
+            if not done[c]:
+                raise ValueError(f"tau lists node {idx} before its children")
+        done[idx] = True
+    if len(tau) != len(nodes):
+        raise ValueError("tau does not list every node")
+    return tau
 
 
 def walk(
@@ -127,11 +180,10 @@ def walk(
     forget keeps costs) and, when set, also turns on the cost window of
     the module docstring; the root bag's forgets are neither windowed nor
     collected.  Raises ValueError when the decomposition does not fit the
-    graph or no feasible row is left under the cap.
+    graph, tau is not an order of all its bags with children first, or no
+    feasible row is left under the cap.
     """
-    if tau is None:
-        tau = postorder_traversal(ntd)
-    _check_decomposition(g, ntd)
+    tau = _check_decomposition(g, ntd, tau)
     tables: dict[int, T] = {}
     collected: list[T] = []
     for idx in tau:

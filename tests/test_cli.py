@@ -99,6 +99,22 @@ def test_trace_command_prints_the_same_tables(capsys, tmp_path):
     assert out == trace_path.read_text()
 
 
+@pytest.mark.parametrize(
+    "td, golden", [(None, "g1.trace"), (FIG_TD, "g1-fig1b.trace")]
+)
+def test_traces_of_the_figure_graph_match_the_goldens(capsys, tmp_path, td, golden):
+    # the paper-facing tables, byte for byte: trace prints them, and
+    # solve --trace writes the same text
+    expected = (FIXTURES / "golden" / golden).read_text()
+    td_args = ["--td", td] if td else []
+    rc, out, _ = run_cli(capsys, "trace", "--graph", G1, *td_args)
+    assert rc == 0
+    assert out == expected
+    trace_path = tmp_path / "trace.txt"
+    run_json(capsys, "solve", "--graph", G1, *td_args, "--trace", str(trace_path))
+    assert trace_path.read_text() == expected
+
+
 def test_malformed_graph_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.gr"
     bad.write_text("p tw 2 1\n1 5\n")

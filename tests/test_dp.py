@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,9 @@ from conftest import connected_graphs_up_to, fixture_text, gnp_graph
 from mixdom.dp import (
     BagLayout,
     StateTable,
+    _member_mask,
+    _merge_pairs,
+    _rows,
     enumerate_btable,
     forget_reduce,
     introduce_combine,
@@ -19,6 +23,7 @@ from mixdom.dp import (
 from mixdom.graph import Graph, parse_gr
 from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.reference import join_combine
+from mixdom.tables import AST_JOIN, STAR_JOIN
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, postorder_traversal
 
 
@@ -185,14 +190,16 @@ def test_introduce_requires_bag_containment(g1):
 
 def test_forget_drops_doomed_rows_and_marks_pendings(g1):
     # bag {0, 3} carries the edge between them; forgetting 0 in state 6
-    # turns its undominated edge into a pending mark on 3
+    # turns its undominated edge into a pending mark on 3.  A vertex at an
+    # undominated bag edge is in 6 or 7, never 4 or 5, so both ends of the
+    # open edge say so.
     bag = [0, 3]
     rows = [
-        ((6, 4, 3), 1),   # survives, 3 picks up a pending mark: (8,)
+        ((6, 6, 3), 1),   # survives, 3 picks up a pending mark: (8,)
         ((4, 4, 2), 1),   # survives unchanged: (4,)
-        ((3, 7, 2), 1),   # survives: (7,)
+        ((3, 5, 2), 1),   # survives: (5,)
         ((5, 4, 2), 0),   # dropped, 0 left undominated
-        ((7, 4, 3), 0),   # dropped
+        ((7, 6, 3), 0),   # dropped
         ((9, 4, 2), 2),   # dropped, pending mark never cleared
         ((8, 4, 2), 2),   # dropped
     ]
@@ -202,7 +209,7 @@ def test_forget_drops_doomed_rows_and_marks_pendings(g1):
     reduced = forget_reduce(g1, t, 0)
     assert reduced.layout.vertices == (3,)
     assert reduced.layout.edges == ()
-    assert costs(reduced) == {(8,): 1, (4,): 1, (7,): 1}
+    assert costs(reduced) == {(8,): 1, (4,): 1, (5,): 1}
 
 
 def test_forget_requires_bag_membership(g1):
@@ -304,6 +311,91 @@ def test_run_dp_shortcuts_match_full_pairing():
         for fast, slow in zip(res.tables, reference_tables(g, ntd, tau)):
             assert fast.layout == slow.layout
             assert snapshot(fast) == snapshot(slow)
+
+
+def partial_ktree(rng: random.Random, n: int, width: int, keep: float = 0.8) -> Graph:
+    """A k-tree on n vertices grown from a (width + 1)-clique, each edge
+    then kept with probability keep."""
+    edges = set(combinations(range(width + 1), 2))
+    cliques = [tuple(range(width + 1))]
+    for v in range(width + 1, n):
+        base = rng.choice(cliques)[:width]
+        edges.update((u, v) for u in base)
+        cliques.append(base + (v,))
+    return Graph(n, [e for e in sorted(edges) if rng.random() < keep])
+
+
+def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
+    """run_dp's walk under cap with every merge done by the table-driven
+    kernel: an introduce pairs the child with the bag-local rows that
+    select only the new vertex and its new edges, a join pairs the rows
+    that select the same bag elements, and every bag is cut to the window
+    of walk.py after it is built.  Returns the tables, gamma and the
+    minimum sets."""
+    tables: dict[int, StateTable] = {}
+    out = []
+    for idx in postorder_traversal(ntd):
+        node = ntd.nodes[idx]
+        if node.kind == "leaf":
+            t = leaf_table(g, node.bag, track, cap)
+        elif node.kind == "introduce":
+            full = enumerate_btable(g, node.bag, track, cap)
+            layout = full.layout
+            pos = layout.vpos[node.vertex]
+            new = (1 << pos) | sum(1 << p for p in layout.incident[pos])
+            local = StateTable(layout, track)
+            for key, entry in full.rows.items():
+                if not _member_mask(key, len(layout.vertices)) & ~new:
+                    local.insert(key, entry[0], entry[1][0] if track else None)
+            t = introduce_combine(g, tables[node.children[0]], local, cap)
+        elif node.kind == "forget":
+            t = forget_reduce(g, tables[node.children[0]], node.vertex)
+        else:
+            a, b = (tables[c] for c in node.children)
+            t = StateTable(a.layout, track)
+            groups: dict[int, tuple[list, list]] = {}
+            for side, table in enumerate((a, b)):
+                for row in _rows(table):
+                    groups.setdefault(row[3], ([], []))[side].append(row)
+            for rows_a, rows_b in groups.values():
+                _merge_pairs(t, rows_a, rows_b, STAR_JOIN, AST_JOIN, cap)
+        if t.words:
+            limit = min(entry[0] for entry in t.words.values()) + len(node.bag)
+            for word in [w for w, entry in t.words.items() if entry[0] > limit]:
+                del t.words[word]
+        tables[idx] = t
+        out.append(t)
+    final = out[-1]
+    for v in sorted(ntd.nodes[ntd.root].bag):
+        final = forget_reduce(g, final, v)
+    (entry,) = final.rows.values()
+    return out, entry[0], row_witnesses([entry]) if track else None
+
+
+def test_flag_word_engine_matches_the_table_driven_kernel_on_partial_ktrees():
+    # capped partial 3- and 4-trees: every table (rows, costs and the
+    # number of links per row), gamma and the minimum sets agree
+    rng = random.Random(43)
+    cases = [partial_ktree(rng, rng.randint(10, 16), 3) for _ in range(5)]
+    cases += [partial_ktree(rng, rng.randint(8, 9), 4) for _ in range(3)]
+    for g in cases:
+        ntd = make_very_nice(min_fill_decompose(g))
+        cap = greedy_upper_bound(g)
+        for track in (False, True):
+            res = run_dp(
+                g, ntd, enumerate_sets=track, collect_tables=True, cost_cap=cap
+            )
+            tables, gamma, min_sets = table_driven_walk(g, ntd, cap, track)
+            assert len(res.tables) == len(tables)
+            for fast, slow in zip(res.tables, tables):
+                assert fast.layout == slow.layout
+                assert {
+                    key: (e[0], e[1] and len(e[1])) for key, e in fast.rows.items()
+                } == {
+                    key: (e[0], e[1] and len(e[1])) for key, e in slow.rows.items()
+                }, write_case(g)
+            assert res.gamma == gamma, write_case(g)
+            assert res.min_sets == (frozenset(min_sets) if track else None)
 
 
 def test_capped_merges_equal_the_full_merges_cut_at_the_cap(g1, fig_ntd):

@@ -2,7 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from mixdom.dp import BagLayout, StateTable
+from mixdom.dp import (
+    EDGE_BYTE,
+    EDGE_STATES,
+    MARKED,
+    MEMBER,
+    VERTEX_BYTE,
+    VERTEX_STATES,
+    WAITING,
+    BagLayout,
+    StateTable,
+)
 from mixdom.graph import Graph
 from mixdom.reference import join_combine
 from mixdom.tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
@@ -124,3 +134,44 @@ def test_impossible_pairings_raise():
         join_combine(g, one_row((0, 1, 1)), one_row((1, 1, 1)))
     with pytest.raises(PoisonCellError, match="edge cell"):
         join_combine(g, one_row((1, 1, 3)), one_row((1, 1, 0)))
+
+
+def test_every_cell_is_one_or_of_two_flag_bytes():
+    # the engine merges two rows with one OR of their flag words and then
+    # clears WAITING under MEMBER or MARKED.  Per slot, that byte must
+    # decode to the cell's state, or to one of its candidates: the union's
+    # edge bytes pick 4 or 6 and 5 or 7, and an introduce's cross terms
+    # pick 4 or 5.  A slot the child does not know (state 0) is an empty
+    # byte in the moved child word.
+    def union(a: int, b: int) -> int:
+        byte = a | b
+        return byte & ~WAITING if byte & (MEMBER | MARKED) else byte
+
+    def flags(encode, state):
+        return 0 if state == 0 else encode[state]
+
+    def vertex_states(byte):
+        return set(VERTEX_STATES[byte])
+
+    def edge_states(byte):
+        return {EDGE_STATES[byte]}
+
+    cells = 0
+    for table, encode, decode in (
+        (STAR_INT, VERTEX_BYTE, vertex_states),
+        (AST_INT, EDGE_BYTE, edge_states),
+        (STAR_JOIN, VERTEX_BYTE, vertex_states),
+        (AST_JOIN, EDGE_BYTE, edge_states),
+    ):
+        for a, row in enumerate(table):
+            for b, cell in enumerate(row):
+                if cell is None or a == b == 0:
+                    continue
+                byte = union(flags(encode, a), flags(encode, b))
+                got = decode(byte)
+                if len(cell) == 1:
+                    assert cell[0] in got, (a, b, cell, got)
+                else:
+                    assert got & set(cell), (a, b, cell, got)
+                cells += 1
+    assert cells == 70 + 12 + 81 + 9

@@ -18,6 +18,7 @@ from mixdom.treedec import (
     NiceTreeDecomposition,
     make_very_nice,
     min_fill_decompose,
+    postorder_traversal,
 )
 
 
@@ -113,4 +114,54 @@ def test_vertex_forgotten_in_both_branches_of_a_join_is_rejected():
     with pytest.raises(ValueError, match="vertex 1 leaves the decomposition 2"):
         run_dp(g, ntd, enumerate_sets=True)
     with pytest.raises(ValueError, match="vertex 1 leaves the decomposition 2"):
+        run6(g, ntd)
+
+
+def test_bag_unreachable_from_the_root_is_rejected():
+    # two isolated vertices: the root leaf {0}, and a leaf {1} -> forget 1
+    # that hangs off no parent; walking only the root would solve vertex 0
+    # alone
+    g = Graph(2, [])
+    nodes = [
+        NiceBag(frozenset({0}), "leaf", None, ()),
+        NiceBag(frozenset({1}), "leaf", None, ()),
+        NiceBag(frozenset(), "forget", 1, (1,)),
+    ]
+    ntd = NiceTreeDecomposition(nodes, 0)
+    assert brute_force(g).gamma == 2
+    for enumerate_sets in (False, True):
+        with pytest.raises(ValueError, match="not reachable"):
+            run_dp(g, ntd, enumerate_sets=enumerate_sets)
+    with pytest.raises(ValueError, match="not reachable"):
+        run6(g, ntd)
+
+
+def test_tau_that_leaves_out_bags_is_rejected():
+    # every proper prefix of a postorder solves only part of the path
+    g = path_graph(6)
+    ntd = make_very_nice(min_fill_decompose(g))
+    tau = postorder_traversal(ntd)
+    assert brute_force(g).gamma == 3
+    assert run_dp(g, ntd, tau=tau).gamma == run6(g, ntd, tau=tau).gamma == 3
+    for end in range(1, len(tau)):
+        with pytest.raises(ValueError, match="tau"):
+            run_dp(g, ntd, tau=tau[:end])
+        with pytest.raises(ValueError, match="tau"):
+            run6(g, ntd, tau=tau[:end])
+    # every node once, but a parent before its child
+    swapped = tau[:-2] + [tau[-1], tau[-2]]
+    with pytest.raises(ValueError, match="before its children"):
+        run_dp(g, ntd, tau=swapped)
+
+
+def test_join_that_lists_one_child_twice_is_rejected():
+    g = Graph(1, [])
+    nodes = [
+        NiceBag(frozenset({0}), "leaf", None, ()),
+        NiceBag(frozenset({0}), "join", None, (0, 0)),
+    ]
+    ntd = NiceTreeDecomposition(nodes, 1)
+    with pytest.raises(ValueError, match="reached twice"):
+        run_dp(g, ntd)
+    with pytest.raises(ValueError, match="reached twice"):
         run6(g, ntd)
