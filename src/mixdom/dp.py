@@ -33,21 +33,21 @@ MARKED (test_tables.py checks this cell by cell).  The two-candidate cells
 them when the word is decoded.
 
 Bag operations.  A leaf or bag-local table lists the words of every
-selection among its slots (_selections, built once per bag shape).  An
-introduce moves each child word into the new layout, adds the two cross
-terms the child decides (the new vertex is dominated by a member
-neighbour; a new edge is dominated by a member or marked old endpoint)
-and ORs in the bag-local words of the new vertex and its new edges.  A
-join groups the rows of both children by their member flags and ORs each
-pair of a group.  A forget tests the forgotten byte, marks the far end of
-each undominated bag edge as waiting and drops the forgotten bytes.  A
-pair costs both costs minus the elements both sides select.
+selection among its slots (_selections, built once per bag shape).  A
+forget tests the forgotten byte, marks the far end of each undominated
+bag edge as waiting and drops the forgotten bytes.  Introduce and join
+both hand groups of rows to one merge kernel (_merge), which ORs every
+pair of a group: an introduce moves each child word into the new layout,
+adds the two cross terms the child decides (the new vertex is dominated
+by a member neighbour; a new edge is dominated by a member or marked old
+endpoint) and pairs the moved words with the bag-local words of the new
+vertex and its new edges; a join groups the rows of both children by
+their member flags.  A pair costs both costs minus the elements both
+sides select.
 
-The paper's table-driven operations stay as the reference the engine is
-checked against: introduce_combine here and join_combine in reference.py
-merge decoded rows through ⋆_int/∗_int and ⋆_join/∗_join in one
-pair-merge kernel (_merge_pairs).  The engine (leaf_table,
-_introduce_extend, forget_reduce, _join_grouped) does not call them.
+This module holds only the engine and does not read the ⋆/∗ tables.  The
+paper's table-driven operations, introduce_combine and join_combine, live
+in reference.py as the specification the tests check the engine against.
 """
 
 from __future__ import annotations
@@ -59,11 +59,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .graph import Graph, is_mixed_dominating_set
-from .tables import AST_INT, STAR_INT, PoisonCellError
 from .treedec import NiceTreeDecomposition
 from .walk import walk
-
-MEMBER_VERTEX_STATES = (1, 2)
 
 MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
 # state 0 (slot unused) only ever appears in rows built by hand
@@ -114,28 +111,13 @@ class BagLayout:
         # its vertices' degrees; edge ids ascend with their endpoint pairs
         pairs = [(u, v) for u, v in combinations(self.vertices, 2) if g.has_edge(u, v)]
         self.edges: tuple[int, ...] = tuple(g.edge_id(u, v) for u, v in pairs)
-        self.epos = {e: k + j for j, e in enumerate(self.edges)}
         self.width = k + len(self.edges)
         self.edge_endpoints = tuple((self.vpos[u], self.vpos[v]) for u, v in pairs)
-        # per vertex position: positions of its incident bag edges, and of
-        # its bag neighbors (graph-adjacent vertices inside the bag)
-        incident: list[list[int]] = [[] for _ in range(k)]
-        neighbors: list[list[int]] = [[] for _ in range(k)]
-        for j, (a, b) in enumerate(self.edge_endpoints):
-            incident[a].append(k + j)
-            incident[b].append(k + j)
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        self.incident = tuple(tuple(x) for x in incident)
-        self.neighbors = tuple(tuple(x) for x in neighbors)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BagLayout):
             return self.vertices == other.vertices and self.edges == other.edges
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
 
     def slot_bits(self, g: Graph) -> list[int]:
         """Per slot, the global element bit of its vertex or edge."""
@@ -193,7 +175,7 @@ class StateTable:
     when enumeration is off, else a list with one link per way the row
     reaches its cost.  A link is a tuple of parts, each a global element
     bitmask (a bag-local selection) or the [cost, links] entry of a row it
-    was built from: (selection, child row) at an introduce, (left row,
+    was built from: (child row, selection) at an introduce, (left row,
     right row) at a join, (child row,) at a forget.  The row's partial
     solutions are the union, over its links, of the ORs of one solution
     per part; row_witnesses expands them.
@@ -281,9 +263,8 @@ class RowView(Mapping):
 @lru_cache(maxsize=4096)
 def _selections(k: int, edge_endpoints: tuple, free: tuple[int, ...]) -> tuple:
     """Bag-local words of every selection among the slots free, for a bag
-    of k vertices with these edges, cheapest first: (cost, word, keep,
-    selected slots).  keep clears WAITING at the vertices the selection
-    makes members or marks, for the union with a child word.
+    of k vertices with these edges, cheapest first: (cost, word, selected
+    slots).
 
     A selected vertex or edge is a member; an edge's endpoints are marked;
     a vertex is dominated when it or a neighbour is a member or it is
@@ -307,8 +288,7 @@ def _selections(k: int, edge_endpoints: tuple, free: tuple[int, ...]) -> tuple:
                 word |= DOMINATED << 8 * a
             if (word >> 8 * a | word >> 8 * b) & (MEMBER | MARKED):
                 word |= DOMINATED << 8 * (k + j)
-        keep = ~(((word | word >> 1) & byte_ones(k)) << 3)
-        out.append((len(chosen), word, keep, chosen))
+        out.append((len(chosen), word, chosen))
     return tuple(out)
 
 
@@ -324,7 +304,7 @@ def enumerate_btable(
     layout = BagLayout(g, bag_vertices)
     table = StateTable(layout, track_witnesses)
     bits = layout.slot_bits(g)
-    for cost, word, _, chosen in _selections(
+    for cost, word, chosen in _selections(
         len(layout.vertices), layout.edge_endpoints, tuple(range(layout.width))
     ):
         if cost_cap is not None and cost > cost_cap:
@@ -377,6 +357,55 @@ def _runs(moves) -> tuple[tuple[int, int], ...]:
     return tuple((mask, shift) for mask, shift in runs)
 
 
+def _merge(result: StateTable, groups, cost_cap: int | None) -> None:
+    """Insert into result the union of every pair of rows of each group
+    (shared, rows_a, rows_b).  Rows are (cost, word, part) tuples in
+    result's layout, each list cheapest first; shared is the number of
+    elements every pair of the group selects on both sides.  With
+    enumeration on, a pair's link is (part of a, part of b).
+
+    A pair's union is the OR of its words with WAITING cleared under
+    MEMBER or MARKED, and its cost is both costs minus shared.  The
+    cheapest pair of each group is known before any is formed, so under a
+    cap the pairs over the cap or the cost window of walk.py are skipped.
+    """
+    groups = [group for group in groups if group[1] and group[2]]
+    k = len(result.layout.vertices)
+    vertex_ones = byte_ones(k)
+    waiting = vertex_ones * WAITING
+    limit = sys.maxsize
+    if cost_cap is not None and groups:
+        low = min(ra[0][0] + rb[0][0] - shared for shared, ra, rb in groups)
+        limit = min(cost_cap, low + k)
+    track = result.track_witnesses
+    # inserts as StateTable.add does, written out because this loop is
+    # where the engine spends its time
+    out = result.words
+    get = out.get
+    for shared, ra, rb in groups:
+        bmin = rb[0][0]
+        for acost, aword, apart in ra:
+            acost -= shared
+            if acost + bmin > limit:
+                break
+            for bcost, bword, bpart in rb:
+                cost = acost + bcost
+                if cost > limit:
+                    break
+                word = aword | bword
+                if word & waiting:
+                    word &= ~(((word | word >> 1) & vertex_ones) << 3)
+                entry = get(word)
+                if entry is None:
+                    out[word] = [cost, [(apart, bpart)] if track else None]
+                elif cost < entry[0]:
+                    entry[0] = cost
+                    if track:
+                        entry[1] = [(apart, bpart)]
+                elif cost == entry[0] and track:
+                    entry[1].append((apart, bpart))
+
+
 @lru_cache(maxsize=4096)
 def _introduce_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
     """How a bag of k vertices with these edges is built from its child,
@@ -415,29 +444,15 @@ def _introduce_extend(
     if v_new in child.vpos:
         raise ValueError(f"vertex {v_new} is already in the bag")
     layout = BagLayout(g, child.vertices + (v_new,))
-    k = len(layout.vertices)
     runs, neighbor_members, v_dominated, cross, local = _introduce_shape(
-        k, layout.edge_endpoints, layout.vpos[v_new]
+        len(layout.vertices), layout.edge_endpoints, layout.vpos[v_new]
     )
-    track = stable_child.track_witnesses
-    result = StateTable(layout, track)
-    rows = stable_child.words
-    if not rows:
-        return result
-    # the empty selection keeps every child row at its cost, so the child's
-    # minimum is the result's and the walk's window is known up front
-    limit = sys.maxsize
-    if cost_cap is not None:
-        limit = min(cost_cap, min(entry[0] for entry in rows.values()) + k)
-    if track:
+    result = StateTable(layout, stable_child.track_witnesses)
+    if result.track_witnesses:
         bits = layout.slot_bits(g)
-        local = [(c, w, m, sum(bits[p] for p in ps)) for c, w, m, ps in local]
-    # the pair loops of introduce and join insert as StateTable.add does,
-    # written out because they are where the engine spends its time
-    out = result.words
-    get = out.get
-    for cword, centry in rows.items():
-        ccost = centry[0]
+        local = [(c, w, sum(bits[p] for p in ps)) for c, w, ps in local]
+    moved = []
+    for cword, centry in stable_child.words.items():
         base = 0
         for mask, shift in runs:
             base |= (cword & mask) << shift
@@ -446,20 +461,11 @@ def _introduce_extend(
         for shift, edge_dominated in cross:
             if cword >> shift & (MEMBER | MARKED):
                 base |= edge_dominated
-        for lcost, lword, keep, selection in local:
-            cost = ccost + lcost
-            if cost > limit:
-                break
-            word = (base | lword) & keep
-            entry = get(word)
-            if entry is None:
-                out[word] = [cost, [(selection, centry)] if track else None]
-            elif cost < entry[0]:
-                entry[0] = cost
-                if track:
-                    entry[1] = [(selection, centry)]
-            elif cost == entry[0] and track:
-                entry[1].append((selection, centry))
+        moved.append((centry[0], base, centry))
+    # the empty selection keeps every child row at its cost, so the group's
+    # cheapest pair is the child's cheapest row
+    moved.sort()
+    _merge(result, [(0, moved, local)], cost_cap)
     return result
 
 
@@ -527,12 +533,10 @@ def _join_grouped(
     if stable_a.layout != stable_b.layout:
         raise ValueError("join children must share the same bag layout")
     layout = stable_a.layout
-    k = len(layout.vertices)
-    track = stable_a.track_witnesses and stable_b.track_witnesses
-    result = StateTable(layout, track)
+    result = StateTable(
+        layout, stable_a.track_witnesses and stable_b.track_witnesses
+    )
     members = byte_ones(layout.width)
-    vertex_ones = byte_ones(k)
-    waiting = vertex_ones * WAITING
     # member flags -> (rows of a, rows of b) selecting exactly those
     # elements, as (cost, word, entry) tuples, each list cheapest first
     groups: dict[int, tuple[list, list]] = {}
@@ -542,179 +546,9 @@ def _join_grouped(
         group = groups.get(row[1] & members)
         if group is not None:
             group[1].append(row)
-    pairs = [(m.bit_count(), ra, rb) for m, (ra, rb) in groups.items() if rb]
-    limit = sys.maxsize
-    if cost_cap is not None and pairs:
-        # the cheapest pair of each group is known before any is formed
-        low = min(ra[0][0] + rb[0][0] - shared for shared, ra, rb in pairs)
-        limit = min(cost_cap, low + k)
-    out = result.words
-    get = out.get
-    for shared, ra, rb in pairs:
-        bmin = rb[0][0]
-        for acost, aword, aentry in ra:
-            acost -= shared
-            if acost + bmin > limit:
-                break
-            for bcost, bword, bentry in rb:
-                cost = acost + bcost
-                if cost > limit:
-                    break
-                word = aword | bword
-                if word & waiting:
-                    word &= ~(((word | word >> 1) & vertex_ones) << 3)
-                entry = get(word)
-                if entry is None:
-                    out[word] = [cost, [(aentry, bentry)] if track else None]
-                elif cost < entry[0]:
-                    entry[0] = cost
-                    if track:
-                        entry[1] = [(aentry, bentry)]
-                elif cost == entry[0] and track:
-                    entry[1].append((aentry, bentry))
+    pairs = [(m.bit_count(), ra, rb) for m, (ra, rb) in groups.items()]
+    _merge(result, pairs, cost_cap)
     return result
-
-
-# -- the paper's table-driven operations (reference) ------------------------
-
-
-def _member_mask(states, k: int) -> int:
-    """Bitmask of the slots whose element a row selects: vertex slots
-    (the first k) in state 1 or 2, edge slots in state 1."""
-    mask = 0
-    for p, s in enumerate(states):
-        if s == 1 or (s == 2 and p < k):
-            mask |= 1 << p
-    return mask
-
-
-def _open_edge_state(candidates: list[tuple[int, ...]], x: int, y: int) -> int:
-    """State of an unselected bag edge between the vertex cells x and y:
-    dominated (2) iff an endpoint's cell is a member or carries a selected
-    edge (1, 2 or 3), else undominated (3)."""
-    if candidates[x][0] in (1, 2, 3) or candidates[y][0] in (1, 2, 3):
-        return 2
-    return 3
-
-
-def _resolve_vertices(
-    layout: BagLayout,
-    candidates: list[tuple[int, ...]],
-    edge_states: list[int],
-) -> list[int]:
-    """Second pass of a combine: fix multi-candidate vertex cells from the
-    already-resolved edge slots and the single-valued neighbor states.
-    Every multi-candidate cell starts with 4 or 5, so a neighbor is a
-    member iff its cell's first candidate is."""
-    out = []
-    k = len(layout.vertices)
-    for i, cands in enumerate(candidates):
-        if len(cands) == 1:
-            out.append(cands[0])
-            continue
-        if cands == (4, 5) or cands == (4, 5, 6, 7):
-            dominated = any(
-                candidates[a][0] in MEMBER_VERTEX_STATES for a in layout.neighbors[i]
-            )
-            if len(cands) == 2:
-                out.append(4 if dominated else 5)
-                continue
-            cands = (4, 6) if dominated else (5, 7)
-        elif cands != (4, 6) and cands != (5, 7):
-            raise AssertionError(f"unexpected candidate cell {cands}")
-        uncovered = any(edge_states[p - k] == 3 for p in layout.incident[i])
-        out.append(cands[1] if uncovered else cands[0])
-    return out
-
-
-def introduce_combine(
-    g: Graph,
-    stable_child: StateTable,
-    btable: StateTable,
-    cost_cap: int | None = None,
-) -> StateTable:
-    """Merge a child's cumulative table with the bag-local table of an
-    introduce bag, pairing every row of one with every row of the other
-    through ⋆_int/∗_int (see _merge_pairs).
-
-    Vertex and edge slots are matched by identity; slots the child does
-    not know carry state 0 on its side.
-    """
-    layout = btable.layout
-    child = stable_child.layout
-    if not set(child.vertices) <= set(layout.vertices):
-        raise ValueError("child bag is not contained in the introduce bag")
-    track = stable_child.track_witnesses and btable.track_witnesses
-    result = StateTable(layout, track)
-    k = len(layout.vertices)
-    # child slot index (or None) for each bag slot
-    slots = [child.vpos.get(v) for v in layout.vertices]
-    slots += [child.epos.get(e) for e in layout.edges]
-    aligned = []
-    for ckey, centry in stable_child.rows.items():
-        states = [ckey[p] if p is not None else 0 for p in slots]
-        aligned.append((states, centry[0], centry, _member_mask(states, k)))
-    _merge_pairs(result, _rows(btable), aligned, STAR_INT, AST_INT, cost_cap)
-    return result
-
-
-def _rows(table: StateTable) -> list[tuple]:
-    """The table's rows as (states, cost, entry, member mask) tuples."""
-    k = len(table.layout.vertices)
-    return [
-        (key, entry[0], entry, _member_mask(key, k))
-        for key, entry in table.rows.items()
-    ]
-
-
-def _merge_pairs(result: StateTable, rows_a, rows_b, star, ast, cost_cap) -> None:
-    """Insert into result the union of every row of rows_a with every row
-    of rows_b.  Rows are (states, cost, entry, member mask) tuples in
-    result's slot order, entry being the row's [cost, links]; star and ast
-    are the vertex and edge combination tables, indexed (state in rows_a,
-    state in rows_b).  With enumeration on, each pair is one link.
-
-    A pair costs both costs minus the elements both sides select.  Pairs
-    over cost_cap are skipped before their states are worked out.  A
-    multi-candidate edge cell (the introduce's bag-locally undominated
-    edge) is settled by _open_edge_state; vertex cells then go to
-    _resolve_vertices.
-    """
-    layout = result.layout
-    track = result.track_witnesses
-    k = len(layout.vertices)
-    for akey, acost, aentry, amask in rows_a:
-        for bkey, bcost, bentry, bmask in rows_b:
-            cost = acost + bcost - (amask & bmask).bit_count()
-            if cost_cap is not None and cost > cost_cap:
-                continue
-            candidates: list[tuple[int, ...]] = []
-            for i in range(k):
-                cell = star[akey[i]][bkey[i]]
-                if cell is None:
-                    raise PoisonCellError(
-                        f"vertex cell {akey[i], bkey[i]} is unreachable"
-                    )
-                candidates.append(cell)
-            edge_states: list[int] = []
-            for p in range(k, layout.width):
-                cell = ast[akey[p]][bkey[p]]
-                if cell is None:
-                    raise PoisonCellError(
-                        f"edge cell {akey[p], bkey[p]} is unreachable"
-                    )
-                if len(cell) == 1:
-                    edge_states.append(cell[0])
-                else:
-                    edge_states.append(
-                        _open_edge_state(candidates, *layout.edge_endpoints[p - k])
-                    )
-            vertex_states = _resolve_vertices(layout, candidates, edge_states)
-            result.insert(
-                tuple(vertex_states) + tuple(edge_states),
-                cost,
-                (aentry, bentry) if track else None,
-            )
 
 
 @dataclass(frozen=True)

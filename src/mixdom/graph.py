@@ -249,6 +249,18 @@ def is_mixed_dominating_set(g: Graph, s: int | Iterable[MixedElement]) -> bool:
 # -- .gr serialization (1-based on disk, 0-based in memory) ---------------
 
 
+def line_ints(line_num: int, tokens: list[str]) -> list[int]:
+    """The tokens of a graph or decomposition file line as integers;
+    ValueError naming the line and the first token that is not one."""
+    out = []
+    for t in tokens:
+        try:
+            out.append(int(t))
+        except ValueError:
+            raise ValueError(f"line {line_num}: {t!r} is not an integer") from None
+    return out
+
+
 def parse_gr(text: str) -> Graph:
     """Parse graph text: comment lines "c ...", a header "p tw <n> <m>",
     then m lines "u v" with 1-based vertex ids.  Errors name the line and
@@ -265,13 +277,13 @@ def parse_gr(text: str) -> Graph:
                 raise ValueError(f"line {line_num}: duplicate header")
             if len(parts) != 4 or parts[1] != "tw":
                 raise ValueError(f"line {line_num}: malformed header {line!r}")
-            header = (int(parts[2]), int(parts[3]))
+            header = tuple(line_ints(line_num, parts[2:]))
         else:
             if header is None:
                 raise ValueError(f"line {line_num}: edge before header")
             if len(parts) != 2:
                 raise ValueError(f"line {line_num}: malformed edge line {line!r}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = line_ints(line_num, parts)
             n = header[0]
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"line {line_num}: vertex out of range 1..{n}")

@@ -171,10 +171,10 @@ def introduce6(
     comes out undominated.
 
     Each child ledger is packed once; a branch adds it shifted by the
-    branch's cost, masked to the costs within the cap.  An output field
-    sums at most one child entry per (row, branch), and a row has fewer
-    than 3 * 2^d branches for d new edges, so no field exceeds the child
-    count total times 3 * 2^d."""
+    branch's cost, masked to the costs within the cap and the cost window
+    of walk.py.  An output field sums at most one child entry per (row,
+    branch), and a row has fewer than 3 * 2^d branches for d new edges, so
+    no field exceeds the child count total times 3 * 2^d."""
     if v_new in table.vertices:
         raise ValueError(f"vertex {v_new} is already in the bag")
     vertices = tuple(sorted(table.vertices + (v_new,)))
@@ -182,6 +182,10 @@ def introduce6(
     old_pos = [i for i in range(len(vertices)) if i != pos_new]
     nbrs = [i for i in old_pos if g.has_edge(v_new, vertices[i])]
     low, total = _base_total(table.rows)
+    if cost_cap is not None:
+        # the branch selecting nothing keeps every row's costs, so the
+        # table's minimum is low and its cost window of walk.py is known
+        cost_cap = min(cost_cap, low + len(vertices))
     # a row has 2^(d+1) - 1 selections plus 2^(open edges) <= 2^d owners
     w = _width(total * (3 << len(nbrs)))
     keep = None if cost_cap is None else w * max(cost_cap - low + 1, 0)

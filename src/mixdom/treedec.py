@@ -8,7 +8,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, line_ints
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class NiceTreeDecomposition:
     def __init__(self, nodes: list[NiceBag], root: int):
         self.nodes = tuple(nodes)
         self.root = root
-        parent: list[int | None] = [None] * len(nodes)
-        for i, node in enumerate(nodes):
-            for c in node.children:
-                parent[c] = i
-        self.parent = tuple(parent)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -351,16 +346,15 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ValueError(f"line {line_num}: duplicate header")
             if len(parts) != 5 or parts[1] != "td":
                 raise ValueError(f"line {line_num}: malformed header {line!r}")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(line_ints(line_num, parts[2:]))
         elif parts[0] == "b":
             if header is None:
                 raise ValueError(f"line {line_num}: bag before header")
             if len(parts) < 2:
                 raise ValueError(f"line {line_num}: bag line without a bag id")
-            bag_id = int(parts[1])
+            bag_id, *vertices = line_ints(line_num, parts[1:])
             if not (1 <= bag_id <= header[0]):
                 raise ValueError(f"line {line_num}: bag id {bag_id} out of range")
-            vertices = [int(p) for p in parts[2:]]
             for v in vertices:
                 if not (1 <= v <= header[2]):
                     raise ValueError(f"line {line_num}: vertex {v} out of range 1..{header[2]}")
@@ -372,7 +366,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ValueError(f"line {line_num}: edge before header")
             if len(parts) != 2:
                 raise ValueError(f"line {line_num}: malformed edge line {line!r}")
-            a, b = int(parts[0]), int(parts[1])
+            a, b = line_ints(line_num, parts)
             if not (1 <= a <= header[0] and 1 <= b <= header[0]):
                 raise ValueError(f"line {line_num}: edge bag id out of range")
             edges.append((a - 1, b - 1))

@@ -12,10 +12,10 @@ root's feasibility test.  A program supplies a BagScheme: its leaf,
 introduce, forget and join operations, plus how to find the cheapest cost
 in a table and how to drop costs above a limit.
 
-Cost window.  When a cost_cap is given, every table is cut after its bag
-is built: rows (nine-state) or ledger entries (six-state) costing more
-than the table's minimum plus the number of bag vertices k are dropped.
-This is exact for the optimum and for the family of minimum sets:
+Cost window.  When a cost_cap is given, no table keeps a row (nine-state)
+or ledger entry (six-state) costing more than the table's minimum plus
+the number of bag vertices k.  This is exact for the optimum and for the
+family of minimum sets:
 
     Let R0 be the cheapest row, with partial solution S0, and R a row
     with partial solution S and cost(R) > cost(R0) + k.  Every processed
@@ -31,12 +31,11 @@ This is exact for the optimum and for the family of minimum sets:
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
 
-The nine-state introduce and join stop at the window while they merge.
-Their table's minimum is known before any pair is formed (an introduce
-keeps its child's minimum through the empty local selection; a join's is
-the least, over groups of rows selecting the same bag elements, of the
-two group minima minus the shared selections), so the pairs they skip
-are exactly the rows this cut would drop.
+The walk cuts each table after a forget (which drops rows) and a join.
+A leaf needs no cut: its costs are 0 and 1 in a one-vertex bag.  An
+introduce keeps its child's minimum (it may select nothing), so both
+programs' introduces stop at the window while they build; so does the
+nine-state join, whose minimum is known before any pair is formed.
 
 Without a cost_cap nothing is cut, so the tables are the full ones the
 paper's worked examples and traces show.
@@ -198,7 +197,7 @@ def walk(
             t = scheme.join(
                 g, tables[node.children[0]], tables[node.children[1]], cost_cap
             )
-        if cost_cap is not None:
+        if cost_cap is not None and node.kind in ("forget", "join"):
             low = scheme.min_cost(t)
             if low is not None:
                 t = scheme.drop_above(t, low + len(node.bag))

@@ -19,14 +19,13 @@ from mixdom.dp import (
     StateTable,
     enumerate_btable,
     forget_reduce,
-    introduce_combine,
     leaf_table,
     run_dp,
 )
 from mixdom.graph import Graph, parse_gr
 from mixdom.mds6 import join6, moebius6, run6, zeta6
 from mixdom.oracle import brute_force, greedy_upper_bound
-from mixdom.reference import direct_join6
+from mixdom.reference import direct_join6, introduce_combine
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, postorder_traversal, validate_td
 from test_tables import (
     GOLDEN_AST_INT,

@@ -262,18 +262,20 @@ def test_validate_names_vertices_as_the_files_do(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edge_lines, message",
+    "text, message",
     [
-        ("1 2\n3 3\n", "line 3: self-loop at vertex 3"),
-        ("1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
+        ("p tw 3 2\n1 2\n3 3\n", "line 3: self-loop at vertex 3"),
+        ("p tw 3 2\n1 2\n2 1\n", "line 3: duplicate edge (1, 2)"),
+        ("c bad count\np tw x 2\n", "line 2: 'x' is not an integer"),
+        ("p tw 3 2\n1 2\n1 a\n", "line 3: 'a' is not an integer"),
     ],
-    ids=["self-loop", "duplicate"],
+    ids=["self-loop", "duplicate", "header-token", "edge-token"],
 )
 def test_graph_errors_name_lines_and_vertices_as_the_file_does(
-    capsys, tmp_path, edge_lines, message
+    capsys, tmp_path, text, message
 ):
     graph = tmp_path / "bad.gr"
-    graph.write_text("p tw 3 2\n" + edge_lines)
+    graph.write_text(text)
     rc, _, err = run_cli(capsys, "solve", "--graph", str(graph))
     assert rc == 1
     assert err.startswith("error:") and message in err
@@ -366,6 +368,7 @@ def test_solve_does_not_import_the_reference_joins():
     modules = done.stdout.splitlines()[-1]
     assert "'mixdom.cli'" in modules
     assert "mixdom.reference" not in modules
+    assert "mixdom.tables" not in modules
 
 
 def test_every_traced_name_is_a_callable():

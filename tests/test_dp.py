@@ -9,12 +9,8 @@ from conftest import connected_graphs_up_to, fixture_text, gnp_graph
 from mixdom.dp import (
     BagLayout,
     StateTable,
-    _member_mask,
-    _merge_pairs,
-    _rows,
     enumerate_btable,
     forget_reduce,
-    introduce_combine,
     leaf_table,
     render_table,
     row_witnesses,
@@ -22,7 +18,13 @@ from mixdom.dp import (
 )
 from mixdom.graph import Graph, parse_gr
 from mixdom.oracle import brute_force, greedy_upper_bound
-from mixdom.reference import join_combine
+from mixdom.reference import (
+    _member_mask,
+    _merge_pairs,
+    _rows,
+    introduce_combine,
+    join_combine,
+)
 from mixdom.tables import AST_JOIN, STAR_JOIN
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, postorder_traversal
 
@@ -342,7 +344,11 @@ def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
             full = enumerate_btable(g, node.bag, track, cap)
             layout = full.layout
             pos = layout.vpos[node.vertex]
-            new = (1 << pos) | sum(1 << p for p in layout.incident[pos])
+            new = (1 << pos) | sum(
+                1 << len(layout.vertices) + j
+                for j, ends in enumerate(layout.edge_endpoints)
+                if pos in ends
+            )
             local = StateTable(layout, track)
             for key, entry in full.rows.items():
                 if not _member_mask(key, len(layout.vertices)) & ~new:

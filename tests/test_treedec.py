@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -48,7 +49,7 @@ def exact_treewidth(g: Graph) -> int:
 def check_very_nice(ntd: NiceTreeDecomposition) -> None:
     """Assert every structural invariant of a very nice decomposition."""
     assert len(ntd.nodes[ntd.root].bag) == 1
-    for i, node in enumerate(ntd.nodes):
+    for node in ntd.nodes:
         if node.kind == "leaf":
             assert node.children == ()
             assert len(node.bag) == 1
@@ -68,9 +69,11 @@ def check_very_nice(ntd: NiceTreeDecomposition) -> None:
             assert node.vertex is None
         else:
             raise AssertionError(f"unknown kind {node.kind}")
-        for c in node.children:
-            assert ntd.parent[c] == i
-    assert ntd.parent[ntd.root] is None
+    # a tree: each non-root node is a child exactly once, the root never,
+    # and every node is reached from the root
+    children = Counter(c for node in ntd.nodes for c in node.children)
+    assert children == Counter(i for i in range(len(ntd.nodes)) if i != ntd.root)
+    assert sorted(postorder_traversal(ntd)) == list(range(len(ntd.nodes)))
 
 
 def test_validate_fixture_decomposition(g1, fig_td):
@@ -306,6 +309,8 @@ def test_parse_td_errors():
         parse_td("s td 1 2 2\nb 2 1 2\n")  # bag id out of range
     with pytest.raises(ValueError):
         parse_td("b 1 1\n")
+    with pytest.raises(ValueError, match="line 2: 'x' is not an integer"):
+        parse_td("s td 1 3 2\nb 1 1 2 x\n")
 
 
 def test_td_round_trip(fig_td):
