@@ -22,6 +22,44 @@ Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
 counts come back by Moebius inversion; exact integers keep the inversion
 lossless.
 
+Dominated rows.  Under a cost cap, which also turns on the cost window
+of walk.py, the walk keeps no row that a better row matches at no higher
+cost.  Order a slot's states by how good they are for what is still to
+come: 1 stands apart, comparable only to itself, since membership must
+agree; among the others, dominated beats undominated and owing no edge
+beats owing one, with 3 on top.  So 3 is above 4, 5, 6 and 7; 4 is above
+5 and 6; 5 and 6 are each above 7; 5 and 6 are incomparable.  A row R'
+is at least as good as a row R when it is in every slot.  This is not
+the lattice of _supremum, which puts 4 below 6: a 6 owns an undominated
+edge that a 4 does not, and a forget drops the 6 but keeps the 4.
+
+    Each operation is monotone in this order.  An introduce branch of R
+    (v's membership, the new edges selected, an owner for each new edge
+    left open) maps to the branch of R' with the same choices, owners
+    only for the edges R' leaves open, which are among R's; at the same
+    cost its result is at least as good: a selected edge turns both
+    sides to 3 or keeps 1, selecting v turns 5 into 4 and 7 into 6, an
+    owner at u turns 4 into 6 and 5 into 7, and each of these maps keeps
+    the order, while v owns an edge in R' only if it does in R.  A
+    forget's survivors {1, 3, 4} form an up-set, so R' survives whenever
+    R does.  A join's supremum ORs the dominated and the owing flags
+    slot by slot and 3 absorbs, so R' with any partner T is at least as
+    good as R with T, at the same cost (both share T's 1 slots).  By
+    induction every completion of R is matched by a completion of R' at
+    no higher cost, so dropping R changes no optimum.  The entries of a
+    ledger above its own cheapest cost go by the same argument, R' = R.
+
+The pass (_undominated) drops R when a row one slot better, any strictly
+better state in that slot, has a cheapest cost at most R's; it reads the
+table as built, so chains of dropped rows end at a kept row, which
+dominates each row of its chain: every step is strictly up the order.
+The table's minimum is kept, and with it the window of walk.py.  Ledger
+counts stay exact counts of the branch and pair outcomes of the entries
+that are kept, so join6's inversion stays exact; they were never a
+number of sets, and are not now.  The pass runs after every introduce,
+forget and join, and also cuts a join's table to its window.  Without a
+cost cap no row is dropped, so the tables are the full ones.
+
 Packed ledgers.  Inside introduce6, join6 and the transforms, a ledger
 {cost: count} is one integer, sum of count * 2^(w * (cost - base)), with
 fields of w bits (Kronecker substitution; Harvey, 2009).  A table's
@@ -363,22 +401,76 @@ def join6(
     return SixTable(a.vertices, rows)
 
 
+# The states strictly better than each state in the goodness order of the
+# module docstring, and the same as steps of a slot's byte in a row code
+# (_undominated).
+_GOODNESS = {1: (), 3: (), 4: (3,), 5: (3, 4), 6: (3, 4), 7: (3, 4, 5, 6)}
+_BETTER = {s: tuple(t - s for t in better) for s, better in _GOODNESS.items()}
+
+
+def _dominated(key: tuple, code: int, cost: int, lowest) -> bool:
+    """Whether some row one slot better than key costs at most cost, where
+    lowest maps a row code to its cheapest cost."""
+    shift = 0
+    for state in key:
+        for step in _BETTER[state]:
+            if lowest(code + (step << shift), cost + 1) <= cost:
+                return True
+        shift += 8
+    return False
+
+
+def _undominated(rows: Rows6, window: bool = False) -> Rows6:
+    """The rows that no row one slot better matches at no higher cheapest
+    cost, each cut to its cheapest cost; with window, also without the
+    rows above the cost window of walk.py.
+
+    A row's code holds its states as bytes, slot i in byte i, so the code
+    of a row one slot better is the code plus a step shifted into a byte."""
+    low: dict[int, int] = {}
+    entries = []
+    for key, ledger in rows.items():
+        code = int.from_bytes(bytes(key), "little")
+        cost = min(ledger)
+        low[code] = cost
+        entries.append((key, code, cost))
+    limit = None
+    if window and entries:
+        limit = min(low.values()) + len(entries[0][0])
+    return {
+        key: {cost: rows[key][cost]}
+        for key, code, cost in entries
+        if (limit is None or cost <= limit) and not _dominated(key, code, cost, low.get)
+    }
+
+
 class _SixState:
     """The six-state program's half of the bag walk.  Bag operations are
     looked up as module globals on every call, so wrappers installed on
-    this module from outside see each call."""
+    this module from outside see each call.
+
+    With prune (under a cost cap) every table an introduce, forget or join
+    builds goes through _undominated, a join's with its cost window."""
+
+    def __init__(self, prune: bool):
+        self.prune = prune
+
+    def _kept(self, table: SixTable, window: bool = False) -> SixTable:
+        if not self.prune:
+            return table
+        return SixTable(table.vertices, _undominated(table.rows, window))
 
     def leaf(self, g, bag, cost_cap):
         return leaf6(g, bag)
 
     def introduce(self, g, child, vertex, cost_cap):
-        return introduce6(g, child, vertex, cost_cap)
+        return self._kept(introduce6(g, child, vertex, cost_cap))
 
     def forget(self, g, child, vertex):
-        return forget6(child, vertex)
+        return self._kept(forget6(child, vertex))
 
     def join(self, g, left, right, cost_cap):
-        return join6(left, right, cost_cap=cost_cap)
+        return self._kept(join6(left, right, cost_cap=cost_cap), window=True)
 
     def min_cost(self, table: SixTable) -> int | None:
         return min((min(ledger) for ledger in table.rows.values()), default=None)
@@ -407,9 +499,11 @@ def run6(
 
     cost_cap prunes ledger entries above the cap at every bag and turns on
     the cost window of walk.py, which also drops entries costing more than
-    their table's minimum plus the bag size; see walk.py for why neither
-    changes the optimum.  The result is unchanged as long as the cap is at
-    least the size of some mixed dominating set, e.g. greedy_upper_bound.
+    their table's minimum plus the bag size, and the drop of dominated
+    rows (module docstring); none of them changes the optimum.  The result
+    is unchanged as long as the cap is at least the size of some mixed
+    dominating set, e.g. greedy_upper_bound.
     """
-    _, gamma, tables = walk(g, ntd, _SixState(), tau, collect_tables, cost_cap)
+    scheme = _SixState(prune=cost_cap is not None)
+    _, gamma, tables = walk(g, ntd, scheme, tau, collect_tables, cost_cap)
     return Run6Result(gamma, tables)

@@ -31,11 +31,13 @@ family of minimum sets:
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
 
-The walk cuts each table after a forget (which drops rows) and a join.
-A leaf needs no cut: its costs are 0 and 1 in a one-vertex bag.  An
-introduce keeps its child's minimum (it may select nothing), so both
-programs' introduces stop at the window while they build; so does the
-nine-state join, whose minimum is known before any pair is formed.
+The walk cuts each table after a forget, which drops rows and so may
+raise the minimum.  A leaf needs no cut: its costs are 0 and 1 in a
+one-vertex bag.  An introduce keeps its child's minimum (it may select
+nothing), so both programs' introduces stop at the window while they
+build; so does the nine-state join, whose minimum is known before any
+pair is formed.  The six-state join cuts its table in the pass that also
+drops its dominated rows (mds6.py).
 
 Without a cost_cap nothing is cut, so the tables are the full ones the
 paper's worked examples and traces show.
@@ -197,7 +199,7 @@ def walk(
             t = scheme.join(
                 g, tables[node.children[0]], tables[node.children[1]], cost_cap
             )
-        if cost_cap is not None and node.kind in ("forget", "join"):
+        if cost_cap is not None and node.kind == "forget":
             low = scheme.min_cost(t)
             if low is not None:
                 t = scheme.drop_above(t, low + len(node.bag))

@@ -35,6 +35,18 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(n, edges)
 
 
+def partial_ktree(rng: random.Random, n: int, width: int, keep: float = 0.8) -> Graph:
+    """A k-tree on n vertices grown from a (width + 1)-clique, each edge
+    then kept with probability keep."""
+    edges = set(combinations(range(width + 1), 2))
+    cliques = [tuple(range(width + 1))]
+    for v in range(width + 1, n):
+        base = rng.choice(cliques)[:width]
+        edges.update((u, v) for u in base)
+        cliques.append(base + (v,))
+    return Graph(n, [e for e in sorted(edges) if rng.random() < keep])
+
+
 def all_graphs(n: int):
     """Every labeled simple graph on vertex set 0..n-1."""
     pairs = list(combinations(range(n), 2))

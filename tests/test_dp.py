@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 import pytest
 
-from conftest import connected_graphs_up_to, fixture_text, gnp_graph
+from conftest import connected_graphs_up_to, fixture_text, gnp_graph, partial_ktree
 from mixdom.dp import (
     BagLayout,
     StateTable,
@@ -313,18 +312,6 @@ def test_run_dp_shortcuts_match_full_pairing():
         for fast, slow in zip(res.tables, reference_tables(g, ntd, tau)):
             assert fast.layout == slow.layout
             assert snapshot(fast) == snapshot(slow)
-
-
-def partial_ktree(rng: random.Random, n: int, width: int, keep: float = 0.8) -> Graph:
-    """A k-tree on n vertices grown from a (width + 1)-clique, each edge
-    then kept with probability keep."""
-    edges = set(combinations(range(width + 1), 2))
-    cliques = [tuple(range(width + 1))]
-    for v in range(width + 1, n):
-        base = rng.choice(cliques)[:width]
-        edges.update((u, v) for u in base)
-        cliques.append(base + (v,))
-    return Graph(n, [e for e in sorted(edges) if rng.random() < keep])
 
 
 def table_driven_walk(g: Graph, ntd, cap: int, track: bool):

@@ -5,12 +5,19 @@ from itertools import product
 
 import pytest
 
-from conftest import connected_graphs_up_to, fixture_text, gnp_graph, random_tree
+from conftest import (
+    connected_graphs_up_to,
+    fixture_text,
+    gnp_graph,
+    partial_ktree,
+    random_tree,
+)
 from mixdom.dp import run_dp
 from mixdom.graph import Graph
 from mixdom.mds6 import (
     SixTable,
     _supremum,
+    _undominated,
     forget6,
     introduce6,
     join6,
@@ -326,3 +333,107 @@ def test_zeta6_and_moebius6_stay_exact_on_huge_and_negative_counts():
     assert moebius6({(5,): {0: -top}}) == {
         (5,): {0: -top}, (4,): {0: top}, (7,): {0: top}, (6,): {0: -top}
     }
+
+
+def test_undominated_drops_rows_a_better_row_matches_at_no_higher_cost():
+    assert _undominated({(3,): {1: 1}, (4,): {1: 2}}) == {(3,): {1: 1}}
+    assert _undominated({(4,): {0: 1}, (5,): {0: 3, 1: 1}}) == {(4,): {0: 1}}
+    # a dearer better row replaces nothing
+    assert _undominated({(3,): {2: 1}, (4,): {1: 1}}) == {(3,): {2: 1}, (4,): {1: 1}}
+    # a cheaper 6 does not replace a 4, though 4 lies below 6 in the
+    # lattice of _supremum: the 6 owns an undominated edge
+    assert _undominated({(6,): {1: 1}, (4,): {2: 1}}) == {(6,): {1: 1}, (4,): {2: 1}}
+    # 5 and 6 are incomparable, and each is better than 7
+    assert _undominated({(5,): {0: 1}, (6,): {0: 1}, (7,): {0: 1}}) == {
+        (5,): {0: 1},
+        (6,): {0: 1},
+    }
+    # a member slot is never replaced, not even by a cheaper 3; the other
+    # slots still compare
+    assert _undominated({(1,): {2: 1}, (3,): {0: 1}}) == {(1,): {2: 1}, (3,): {0: 1}}
+    assert _undominated({(1, 5): {1: 1}, (1, 4): {1: 1}, (3, 4): {0: 1}}) == {
+        (1, 4): {1: 1},
+        (3, 4): {0: 1},
+    }
+    # a ledger keeps its cheapest cost only; the window cuts rows costing
+    # more than the table's minimum plus the number of slots
+    assert _undominated({(3,): {1: 2, 2: 5}}) == {(3,): {1: 2}}
+    rows = {(1, 1): {3: 1}, (5, 5): {0: 1}}
+    assert _undominated(rows) == rows
+    assert _undominated(rows, window=True) == {(5, 5): {0: 1}}
+    assert _undominated({}, window=True) == {}
+
+
+def test_dominated_rows_go_by_goodness_not_by_the_merge_lattice():
+    # under _supremum's order a 4 would give way to a cheaper 6 and a 5 to
+    # a cheaper 7, whose owned edge can still fail a forget; every root of
+    # the decomposition meets other rows at each bag
+    rng = random.Random(53)
+    runs = 0
+    for _ in range(60):
+        g = gnp_graph(rng, rng.randint(4, 7), rng.choice((0.3, 0.5, 0.7)))
+        gamma = brute_force(g).gamma
+        td = min_fill_decompose(g)
+        for root in range(len(td.bags)):
+            ntd = make_very_nice(td, root=root)
+            for cap in (greedy_upper_bound(g), gamma):
+                assert run6(g, ntd, cost_cap=cap).gamma == gamma, (g.edges, root)
+                runs += 1
+    assert runs > 400
+
+
+# (better, worse) state pairs of the goodness order, written out apart
+# from the engine's table
+_BETTER_WORSE = {
+    (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7)
+}
+
+
+def _one_slot_dominated(rows):
+    for key, ledger in rows.items():
+        for i, state in enumerate(key):
+            for better, worse in _BETTER_WORSE:
+                if worse == state:
+                    other = rows.get(key[:i] + (better,) + key[i + 1:])
+                    if other and min(other) <= min(ledger):
+                        yield key
+
+
+def _full_tables(g, ntd):
+    """Every bag's table from the bare operations, in postorder."""
+    tables = {}
+    for idx in postorder_traversal(ntd):
+        node = ntd.nodes[idx]
+        kids = [tables[c] for c in node.children]
+        if node.kind == "leaf":
+            tables[idx] = leaf6(g, node.bag)
+        elif node.kind == "introduce":
+            tables[idx] = introduce6(g, kids[0], node.vertex)
+        elif node.kind == "forget":
+            tables[idx] = forget6(kids[0], node.vertex)
+        else:
+            tables[idx] = join6(*kids)
+    return [tables[idx] for idx in postorder_traversal(ntd)]
+
+
+def test_capped_run6_agrees_with_full_tables_and_nine_states_on_partial_ktrees():
+    # too big for brute_force: the capped walk, the full walk and the
+    # nine-state program must agree, no capped table may hold a row that a
+    # one-slot-better row matches at no higher cost, and without a cap
+    # every table is the full one
+    rng = random.Random(59)
+    cases = [partial_ktree(rng, 30, 3, keep=0.6) for _ in range(3)]
+    cases += [partial_ktree(rng, 26, 4, keep=0.6) for _ in range(2)]
+    dropped = 0
+    for g in cases:
+        ntd = make_very_nice(min_fill_decompose(g))
+        cap = greedy_upper_bound(g)
+        capped = run6(g, ntd, collect_tables=True, cost_cap=cap)
+        full = run6(g, ntd, collect_tables=True)
+        assert capped.gamma == full.gamma == run_dp(g, ntd, cost_cap=cap).gamma
+        assert [t.rows for t in full.tables] == [t.rows for t in _full_tables(g, ntd)]
+        for table in capped.tables:
+            assert not list(_one_slot_dominated(table.rows))
+        for table in full.tables:
+            dropped += len(set(_one_slot_dominated(table.rows)))
+    assert dropped
