@@ -160,6 +160,8 @@ def cmd_solve(args) -> int:
 
     started = time.perf_counter()
     width = None
+    # a given decomposition is read and checked whichever program runs
+    td = _decomposition(g, args) if args.td else None
     if args.algo == "oracle":
         try:
             result = brute_force(g, enumerate_all=args.enumerate)
@@ -169,7 +171,8 @@ def cmd_solve(args) -> int:
     elif g.vertex_count == 0:
         gamma, min_sets = 0, frozenset({0}) if args.enumerate else None
     else:
-        td = _decomposition(g, args)
+        if td is None:
+            td = min_fill_decompose(g)
         width = td.width()
         ntd = _very_nice(g, td)
         tau = postorder_traversal(ntd)

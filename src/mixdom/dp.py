@@ -559,33 +559,37 @@ class DPResult:
 
 
 class _NineState:
-    """The nine-state program's half of the bag walk.  Bag operations are
-    looked up as module globals on every call, so wrappers installed on
-    this module from outside see each call."""
+    """The nine-state program's half of the bag walk, for one graph and one
+    cost cap.  The operations stop at the cap and the window of walk.py
+    while they build, except forget, which cuts its table afterwards.  Bag
+    operations are looked up as module globals on every call, so wrappers
+    installed on this module from outside see each call."""
 
-    def __init__(self, track_witnesses: bool):
+    def __init__(self, g: Graph, track_witnesses: bool, cost_cap: int | None):
+        self.g = g
         self.track_witnesses = track_witnesses
+        self.cost_cap = cost_cap
 
-    def leaf(self, g, bag, cost_cap):
-        return leaf_table(g, bag, self.track_witnesses, cost_cap)
+    def leaf(self, bag):
+        return leaf_table(self.g, bag, self.track_witnesses, self.cost_cap)
 
-    def introduce(self, g, child, vertex, cost_cap):
-        return _introduce_extend(g, child, vertex, cost_cap)
+    def introduce(self, child, vertex):
+        return _introduce_extend(self.g, child, vertex, self.cost_cap)
 
-    def forget(self, g, child, vertex):
-        return forget_reduce(g, child, vertex)
+    def forget(self, child, vertex):
+        table = forget_reduce(self.g, child, vertex)
+        words = table.words
+        if self.cost_cap is not None and words:
+            limit = self.min_cost(table) + len(table.layout.vertices)
+            for word in [word for word, entry in words.items() if entry[0] > limit]:
+                del words[word]
+        return table
 
-    def join(self, g, left, right, cost_cap):
-        return _join_grouped(g, left, right, cost_cap)
+    def join(self, left, right):
+        return _join_grouped(self.g, left, right, self.cost_cap)
 
     def min_cost(self, table: StateTable) -> int | None:
         return min((entry[0] for entry in table.words.values()), default=None)
-
-    def drop_above(self, table: StateTable, limit: int) -> StateTable:
-        words = table.words
-        for word in [word for word, entry in words.items() if entry[0] > limit]:
-            del words[word]
-        return table
 
 
 def row_witnesses(entries) -> set[int]:
@@ -664,14 +668,14 @@ def run_dp(
 
     cost_cap prunes rows costing more than the cap at every bag and turns
     on the cost window of walk.py, which also drops rows costing more than
-    their table's minimum plus the bag size; see walk.py for why neither
-    changes the result.  The result (optimum and enumeration) is unchanged
-    as long as the cap is at least the size of some mixed dominating set,
-    e.g. greedy_upper_bound.  Without a cap the tables are the full ones.
+    their table's minimum plus the bag size, the root bag's forgets
+    included; see walk.py for why neither changes the result.  The result
+    (optimum and enumeration) is unchanged as long as the cap is at least
+    the size of some mixed dominating set, e.g. greedy_upper_bound.
+    Without a cap the tables are the full ones.
     """
-    final, gamma, tables = walk(
-        g, ntd, _NineState(enumerate_sets), tau, collect_tables, cost_cap
-    )
+    scheme = _NineState(g, enumerate_sets, cost_cap)
+    final, gamma, tables = walk(g, ntd, scheme, tau, collect_tables)
     min_sets: frozenset[int] | None = None
     if enumerate_sets:
         out = row_witnesses(final.words.values())

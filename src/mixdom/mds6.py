@@ -23,7 +23,7 @@ counts come back by Moebius inversion; exact integers keep the inversion
 lossless.
 
 Dominated rows.  Under a cost cap, which also turns on the cost window
-of walk.py, the walk keeps no row that a better row matches at no higher
+of walk.py, no table keeps a row that a better row matches at no higher
 cost.  Order a slot's states by how good they are for what is still to
 come: 1 stands apart, comparable only to itself, since membership must
 agree; among the others, dominated beats undominated and owing no edge
@@ -57,8 +57,9 @@ The table's minimum is kept, and with it the window of walk.py.  Ledger
 counts stay exact counts of the branch and pair outcomes of the entries
 that are kept, so join6's inversion stays exact; they were never a
 number of sets, and are not now.  The pass runs after every introduce,
-forget and join, and also cuts a join's table to its window.  Without a
-cost cap no row is dropped, so the tables are the full ones.
+forget and join and also cuts the table to its window; only a forget's
+or a join's table can reach past it.  Without a cost cap no row is
+dropped, so the tables are the full ones.
 
 Packed ledgers.  Inside introduce6, join6 and the transforms, a ledger
 {cost: count} is one integer, sum of count * 2^(w * (cost - base)), with
@@ -445,45 +446,36 @@ def _undominated(rows: Rows6, window: bool = False) -> Rows6:
 
 
 class _SixState:
-    """The six-state program's half of the bag walk.  Bag operations are
-    looked up as module globals on every call, so wrappers installed on
-    this module from outside see each call.
+    """The six-state program's half of the bag walk, for one graph and one
+    cost cap.  Under a cap, every table an introduce, forget or join builds
+    goes through _undominated with the cost window of walk.py (an
+    introduce already stops at it).  Bag operations are looked up as module
+    globals on every call, so wrappers installed on this module from
+    outside see each call."""
 
-    With prune (under a cost cap) every table an introduce, forget or join
-    builds goes through _undominated, a join's with its cost window."""
+    def __init__(self, g: Graph, cost_cap: int | None):
+        self.g = g
+        self.cost_cap = cost_cap
 
-    def __init__(self, prune: bool):
-        self.prune = prune
-
-    def _kept(self, table: SixTable, window: bool = False) -> SixTable:
-        if not self.prune:
+    def _kept(self, table: SixTable) -> SixTable:
+        if self.cost_cap is None:
             return table
-        return SixTable(table.vertices, _undominated(table.rows, window))
+        return SixTable(table.vertices, _undominated(table.rows, window=True))
 
-    def leaf(self, g, bag, cost_cap):
-        return leaf6(g, bag)
+    def leaf(self, bag):
+        return leaf6(self.g, bag)
 
-    def introduce(self, g, child, vertex, cost_cap):
-        return self._kept(introduce6(g, child, vertex, cost_cap))
+    def introduce(self, child, vertex):
+        return self._kept(introduce6(self.g, child, vertex, self.cost_cap))
 
-    def forget(self, g, child, vertex):
+    def forget(self, child, vertex):
         return self._kept(forget6(child, vertex))
 
-    def join(self, g, left, right, cost_cap):
-        return self._kept(join6(left, right, cost_cap=cost_cap), window=True)
+    def join(self, left, right):
+        return self._kept(join6(left, right, cost_cap=self.cost_cap))
 
     def min_cost(self, table: SixTable) -> int | None:
         return min((min(ledger) for ledger in table.rows.values()), default=None)
-
-    def drop_above(self, table: SixTable, limit: int) -> SixTable:
-        rows = table.rows
-        for key in [key for key, ledger in rows.items() if max(ledger) > limit]:
-            ledger = {cost: n for cost, n in rows[key].items() if cost <= limit}
-            if ledger:
-                rows[key] = ledger
-            else:
-                del rows[key]
-        return table
 
 
 def run6(
@@ -499,11 +491,11 @@ def run6(
 
     cost_cap prunes ledger entries above the cap at every bag and turns on
     the cost window of walk.py, which also drops entries costing more than
-    their table's minimum plus the bag size, and the drop of dominated
-    rows (module docstring); none of them changes the optimum.  The result
-    is unchanged as long as the cap is at least the size of some mixed
-    dominating set, e.g. greedy_upper_bound.
+    their table's minimum plus the bag size (the root bag's forgets
+    included), and the drop of dominated rows (module docstring); none of
+    them changes the optimum.  The result is unchanged as long as the cap
+    is at least the size of some mixed dominating set, e.g.
+    greedy_upper_bound.
     """
-    scheme = _SixState(prune=cost_cap is not None)
-    _, gamma, tables = walk(g, ntd, scheme, tau, collect_tables, cost_cap)
+    _, gamma, tables = walk(g, ntd, _SixState(g, cost_cap), tau, collect_tables)
     return Run6Result(gamma, tables)

@@ -8,14 +8,15 @@ program's operation for its kind and releases child tables once their
 parent is built.  It then forgets the root bag's vertices in ascending
 order, and gamma is the cheapest cost in the one row left: a forget drops
 the rows its vertex cannot be completed from, so the forget rule is the
-root's feasibility test.  A program supplies a BagScheme: its leaf,
-introduce, forget and join operations, plus how to find the cheapest cost
-in a table and how to drop costs above a limit.
+root's feasibility test.  Beyond the check, the walk only orders the
+bags: a program supplies a BagScheme built for one graph and one cost
+cap, with its leaf, introduce, forget and join operations and how to
+find the cheapest cost in a table, and every pruning rule belongs to it.
 
-Cost window.  When a cost_cap is given, no table keeps a row (nine-state)
-or ledger entry (six-state) costing more than the table's minimum plus
-the number of bag vertices k.  This is exact for the optimum and for the
-family of minimum sets:
+Cost window.  When a scheme has a cost_cap, no table keeps a row
+(nine-state) or ledger entry (six-state) costing more than the table's
+minimum plus the number of bag vertices k.  This is exact for the
+optimum and for the family of minimum sets:
 
     Let R0 be the cheapest row, with partial solution S0, and R a row
     with partial solution S and cost(R) > cost(R0) + k.  Every processed
@@ -31,13 +32,17 @@ family of minimum sets:
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
 
-The walk cuts each table after a forget, which drops rows and so may
-raise the minimum.  A leaf needs no cut: its costs are 0 and 1 in a
-one-vertex bag.  An introduce keeps its child's minimum (it may select
-nothing), so both programs' introduces stop at the window while they
-build; so does the nine-state join, whose minimum is known before any
-pair is formed.  The six-state join cuts its table in the pass that also
-drops its dominated rows (mds6.py).
+The scheme contract: each operation returns its table already inside the
+window.  A leaf needs no cut: its costs are 0 and 1 in a one-vertex bag.
+An introduce keeps its child's minimum (it may select nothing), so both
+programs' introduces stop at the window while they build; so does the
+nine-state join, whose minimum is known before any pair is formed.  A
+forget drops rows and so may raise the minimum: the nine-state forget
+cuts the table forget_reduce built, and the six-state forget and join
+cut theirs in the pass that also drops dominated rows (mds6.py).  The
+root bag's forgets are the same operation, so they are windowed too;
+the argument holds at every bag, so gamma and the minimum sets do not
+change.
 
 Without a cost_cap nothing is cut, so the tables are the full ones the
 paper's worked examples and traces show.
@@ -55,21 +60,21 @@ T = TypeVar("T")
 
 
 class BagScheme(Protocol[T]):
-    """The per-program half of the walk: bag operations on tables of type T."""
+    """The per-program half of the walk: bag operations on tables of type T,
+    for one graph and under one cost cap (None: full tables)."""
 
-    def leaf(self, g: Graph, bag: frozenset[int], cost_cap: int | None) -> T: ...
+    cost_cap: int | None
 
-    def introduce(self, g: Graph, child: T, vertex: int, cost_cap: int | None) -> T: ...
+    def leaf(self, bag: frozenset[int]) -> T: ...
 
-    def forget(self, g: Graph, child: T, vertex: int) -> T: ...
+    def introduce(self, child: T, vertex: int) -> T: ...
 
-    def join(self, g: Graph, left: T, right: T, cost_cap: int | None) -> T: ...
+    def forget(self, child: T, vertex: int) -> T: ...
+
+    def join(self, left: T, right: T) -> T: ...
 
     def min_cost(self, table: T) -> int | None:
         """Cheapest cost in the table; None when it is empty."""
-
-    def drop_above(self, table: T, limit: int) -> T:
-        """The table without the costs above limit."""
 
 
 _ARITY = {"leaf": 0, "introduce": 1, "forget": 1, "join": 2}
@@ -171,18 +176,15 @@ def walk(
     scheme: BagScheme[T],
     tau: list[int] | None = None,
     collect_tables: bool = False,
-    cost_cap: int | None = None,
 ) -> tuple[T, int, tuple[T, ...] | None]:
     """Run one program along tau (default: postorder, root last) and return
     the empty bag's table left after forgetting the root bag, gamma and,
-    with collect_tables, every bag's table in walk order.
+    with collect_tables, every bag's table in walk order (the root bag's
+    forgets are not collected).
 
-    cost_cap is handed to every leaf, introduce and join operation (a
-    forget keeps costs) and, when set, also turns on the cost window of
-    the module docstring; the root bag's forgets are neither windowed nor
-    collected.  Raises ValueError when the decomposition does not fit the
-    graph, tau is not an order of all its bags with children first, or no
-    feasible row is left under the cap.
+    Raises ValueError when the decomposition does not fit the graph, tau
+    is not an order of all its bags with children first, or no feasible
+    row is left under the scheme's cost cap.
     """
     tau = _check_decomposition(g, ntd, tau)
     tables: dict[int, T] = {}
@@ -190,19 +192,13 @@ def walk(
     for idx in tau:
         node = ntd.nodes[idx]
         if node.kind == "leaf":
-            t = scheme.leaf(g, node.bag, cost_cap)
+            t = scheme.leaf(node.bag)
         elif node.kind == "introduce":
-            t = scheme.introduce(g, tables[node.children[0]], node.vertex, cost_cap)
+            t = scheme.introduce(tables[node.children[0]], node.vertex)
         elif node.kind == "forget":
-            t = scheme.forget(g, tables[node.children[0]], node.vertex)
+            t = scheme.forget(tables[node.children[0]], node.vertex)
         else:
-            t = scheme.join(
-                g, tables[node.children[0]], tables[node.children[1]], cost_cap
-            )
-        if cost_cap is not None and node.kind == "forget":
-            low = scheme.min_cost(t)
-            if low is not None:
-                t = scheme.drop_above(t, low + len(node.bag))
+            t = scheme.join(tables[node.children[0]], tables[node.children[1]])
         if collect_tables:
             collected.append(t)
         else:
@@ -211,10 +207,10 @@ def walk(
         tables[idx] = t
 
     for v in sorted(ntd.nodes[tau[-1]].bag):
-        t = scheme.forget(g, t, v)
+        t = scheme.forget(t, v)
     gamma = scheme.min_cost(t)
     if gamma is None:
-        if cost_cap is not None:
-            raise ValueError(f"cost_cap {cost_cap} is below the optimum")
+        if scheme.cost_cap is not None:
+            raise ValueError(f"cost_cap {scheme.cost_cap} is below the optimum")
         raise AssertionError("no feasible root row; the full set always dominates")
     return t, gamma, tuple(collected) if collect_tables else None

@@ -15,7 +15,7 @@ from conftest import FIXTURES, fixture_text, path_graph
 import mixdom
 from mixdom.cli import main
 from mixdom.graph import Graph, is_mixed_dominating_set, parse_gr, write_gr
-from mixdom.treedec import parse_td, validate_td
+from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, validate_td
 
 G1 = str(FIXTURES / "g1.gr")
 FIG_TD = str(FIXTURES / "fig1b.td")
@@ -177,6 +177,50 @@ def test_empty_graph_solves_to_zero(capsys, tmp_path):
     report = run_json(capsys, "solve", "--graph", str(empty), "--enumerate")
     assert report["gamma"] == 0
     assert report["minimum_sets"] == [{"vertices": [], "edges": []}]
+
+
+@pytest.fixture(params=["empty-graph", "oracle"])
+def shortcut(request, tmp_path):
+    """Arguments of a solve that needs no decomposition: an empty graph,
+    or exhaustive search."""
+    if request.param == "oracle":
+        return ["--graph", G1, "--algo", "oracle"]
+    empty = tmp_path / "empty.gr"
+    empty.write_text("p tw 0 0\n")
+    return ["--graph", str(empty)]
+
+
+@pytest.mark.parametrize(
+    "td_text, code",
+    [
+        pytest.param(None, 1, id="missing"),
+        pytest.param("b 1 1\n", 1, id="malformed"),
+        pytest.param("s td 1 1 9\nb 1 9\n", 2, id="does-not-fit"),
+    ],
+)
+def test_solve_checks_a_given_decomposition_before_any_shortcut(
+    capsys, tmp_path, shortcut, td_text, code
+):
+    td = tmp_path / "given.td"
+    if td_text is not None:
+        td.write_text(td_text)
+    rc, out, err = run_cli(capsys, "solve", *shortcut, "--td", str(td))
+    assert rc == code
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_a_given_decomposition_leaves_shortcut_reports_unchanged(capsys, tmp_path):
+    empty = tmp_path / "empty.gr"
+    empty.write_text("p tw 0 0\n")
+    td = tmp_path / "empty.td"
+    td.write_text("s td 1 0 0\nb 1\n")
+    report = run_json(capsys, "solve", "--graph", str(empty), "--td", str(td))
+    assert (report["gamma"], report["width"]) == (0, None)
+    report = run_json(
+        capsys, "solve", "--graph", G1, "--algo", "oracle", "--td", FIG_TD
+    )
+    assert (report["gamma"], report["width"]) == (2, None)
 
 
 def test_bench_times_both_programs(capsys):
@@ -381,3 +425,33 @@ def test_every_traced_name_is_a_callable():
             module,
             attribute,
         )
+
+
+def test_every_traced_span_fires(capsys, monkeypatch):
+    # a scheme that bound its bag operations before the benchmark patched
+    # them (say as class attributes) would bypass the wrappers and leave
+    # per-layer metrics at zero while the names above still resolve
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/layers.py"))
+    root, *root_name = layers["ROOT_SPAN"]
+    spans = {root: tuple(root_name), **layers["SPANS"]}
+    calls = dict.fromkeys(spans, 0)
+
+    def counting(span, fn):
+        def counted(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for span, (module, attribute) in spans.items():
+        target = importlib.import_module(module)
+        fn = getattr(target, attribute)
+        monkeypatch.setattr(target, attribute, counting(span, fn))
+    g = parse_gr(fixture_text("g1.gr"))
+    kinds = {node.kind for node in make_very_nice(min_fill_decompose(g)).nodes}
+    assert kinds == {"leaf", "introduce", "forget", "join"}
+    cli = importlib.import_module("mixdom.cli")
+    for extra in ([], ["--algo", "six"]):
+        assert cli.main(["solve", "--graph", G1, *extra]) == 0
+    capsys.readouterr()
+    assert [span for span, count in calls.items() if not count] == []

@@ -1,5 +1,5 @@
-"""The shared bag walk: decomposition checks, the cost window, deep
-decompositions."""
+"""The shared bag walk: its protocol with a scheme, decomposition checks,
+the cost window, deep decompositions."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import random
 
 import pytest
 
-from conftest import gnp_graph, path_graph, random_tree
+from conftest import fixture_text, gnp_graph, partial_ktree, path_graph, random_tree
 from mixdom.dp import run_dp
-from mixdom.graph import Graph
+from mixdom.graph import Graph, parse_gr
 from mixdom.mds6 import run6
 from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.treedec import (
@@ -20,6 +20,97 @@ from mixdom.treedec import (
     min_fill_decompose,
     postorder_traversal,
 )
+from mixdom.walk import walk
+
+
+class Recorder:
+    """A bag scheme that logs its calls; each table is the number of the
+    call that made it, and min_cost returns gamma."""
+
+    def __init__(self, cost_cap=None, gamma=3):
+        self.cost_cap = cost_cap
+        self.gamma = gamma
+        self.calls = []
+
+    def _log(self, *call):
+        self.calls.append(call)
+        return len(self.calls)
+
+    def leaf(self, *args):
+        return self._log("leaf", *args)
+
+    def introduce(self, *args):
+        return self._log("introduce", *args)
+
+    def forget(self, *args):
+        return self._log("forget", *args)
+
+    def join(self, *args):
+        return self._log("join", *args)
+
+    def min_cost(self, *args):
+        self._log("min_cost", *args)
+        return self.gamma
+
+
+def without_root_forgets(ntd: NiceTreeDecomposition) -> NiceTreeDecomposition:
+    """The decomposition cut below the forget chain that empties its root
+    bag, so the walk's own root forgets decide which rows are feasible."""
+    top = ntd.root
+    while ntd.nodes[top].kind == "forget":
+        top = ntd.nodes[top].children[0]
+    return NiceTreeDecomposition(list(ntd.nodes[: top + 1]), top)
+
+
+def expected_calls(ntd: NiceTreeDecomposition) -> tuple[list, tuple[int, ...]]:
+    """The calls a walk of ntd makes to a Recorder, and the tables it
+    collects: one call per bag in postorder, with the bag or the child
+    tables and the vertex only (no graph, no cost cap), then one forget
+    per root-bag vertex in ascending order, then min_cost."""
+    calls = []
+    made = {}
+    for idx in postorder_traversal(ntd):
+        node = ntd.nodes[idx]
+        kids = tuple(made[c] for c in node.children)
+        if node.kind == "leaf":
+            calls.append(("leaf", node.bag))
+        elif node.kind == "join":
+            calls.append(("join", *kids))
+        else:
+            calls.append((node.kind, *kids, node.vertex))
+        made[idx] = len(calls)
+    collected = tuple(range(1, len(calls) + 1))
+    for v in sorted(ntd.nodes[ntd.root].bag):
+        calls.append(("forget", len(calls), v))
+    calls.append(("min_cost", len(calls)))
+    return calls, collected
+
+
+def test_walk_hands_each_bag_to_the_scheme_then_forgets_the_root_bag():
+    g = parse_gr(fixture_text("g1.gr"))
+    td = min_fill_decompose(g)
+    shapes = set()
+    for root in range(len(td.bags)):
+        ntd = without_root_forgets(make_very_nice(td, root=root))
+        calls, collected = expected_calls(ntd)
+        scheme = Recorder()
+        final, gamma, tables = walk(g, ntd, scheme, collect_tables=True)
+        assert scheme.calls == calls, root
+        assert (final, gamma) == (len(calls) - 1, 3)
+        assert tables == collected
+        kinds = frozenset(node.kind for node in ntd.nodes)
+        shapes.add((len(ntd.nodes[ntd.root].bag) > 1, kinds))
+    # some root has every bag kind below a root bag of several vertices
+    assert (True, frozenset({"leaf", "introduce", "forget", "join"})) in shapes
+
+
+def test_walk_names_the_cap_when_no_row_is_left():
+    g = parse_gr(fixture_text("g1.gr"))
+    ntd = make_very_nice(min_fill_decompose(g))
+    with pytest.raises(ValueError, match="cost_cap 1 is below the optimum"):
+        walk(g, ntd, Recorder(cost_cap=1, gamma=None))
+    with pytest.raises(AssertionError, match="no feasible root row"):
+        walk(g, ntd, Recorder(gamma=None))
 
 
 def test_window_keeps_gamma_and_min_sets_at_every_root():
@@ -38,11 +129,7 @@ def test_window_keeps_gamma_and_min_sets_at_every_root():
             # the same decomposition without its final forget chain: its
             # root bag holds several vertices and edges, and the walk's own
             # forgets of that bag decide which rows are feasible
-            top = ntd.root
-            while ntd.nodes[top].kind == "forget":
-                top = ntd.nodes[top].children[0]
-            cut = NiceTreeDecomposition(list(ntd.nodes[: top + 1]), top)
-            for nice in (ntd, cut):
+            for nice in (ntd, without_root_forgets(ntd)):
                 nine = run_dp(g, nice, enumerate_sets=True, cost_cap=cap)
                 assert nine.gamma == expected.gamma, (label, root)
                 assert nine.min_sets == expected.min_sets, (label, root)
@@ -66,6 +153,22 @@ def test_window_bounds_ledgers_and_row_spread_on_a_random_tree():
         spent = [entry[0] for entry in table.rows.values()]
         assert max(spent) - min(spent) <= len(table.layout.vertices)
     assert six.gamma == nine.gamma
+    # the dominated-row pass leaves one cost per ledger, inside the window,
+    # on the tree and on partial 4-trees with their wider bags
+    rng = random.Random(71)
+    capped = [six]
+    for _ in range(4):
+        h = partial_ktree(rng, 30, 4)
+        nice = make_very_nice(min_fill_decompose(h))
+        capped.append(
+            run6(h, nice, collect_tables=True, cost_cap=greedy_upper_bound(h))
+        )
+    for run in capped:
+        for table in run.tables:
+            low = min(min(ledger) for ledger in table.rows.values())
+            for key, ledger in table.rows.items():
+                assert len(ledger) == 1, key
+                assert min(ledger) <= low + len(table.vertices), key
 
 
 def test_deep_path_needs_no_recursion(default_recursion_limit):
