@@ -1,50 +1,46 @@
-"""Exact mixed dominating set solvers on bounded-treewidth graphs."""
+"""Exact mixed dominating set solvers on bounded-treewidth graphs.
 
-from .dp import DPResult, run_dp
-from .graph import (
-    Graph,
-    MixedElement,
-    is_mixed_dominating_set,
-    mixed_closed_neighborhood,
-    neighbors,
-    parse_gr,
-    write_gr,
-)
-from .mds6 import Run6Result, run6
-from .oracle import OracleResult, SizeGuardError, brute_force, greedy_upper_bound
-from .treedec import (
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    make_very_nice,
-    min_fill_decompose,
-    parse_td,
-    postorder_traversal,
-    validate_td,
-    write_td,
-)
+The public names are resolved on first access (PEP 562), each from the
+module listed for it in _HOME, so importing one module of the package,
+say mixdom.cli, does not load the dynamic programs it may never run.
+"""
 
-__all__ = [
-    "DPResult",
-    "Graph",
-    "MixedElement",
-    "NiceTreeDecomposition",
-    "OracleResult",
-    "Run6Result",
-    "SizeGuardError",
-    "TreeDecomposition",
-    "brute_force",
-    "greedy_upper_bound",
-    "is_mixed_dominating_set",
-    "make_very_nice",
-    "min_fill_decompose",
-    "mixed_closed_neighborhood",
-    "neighbors",
-    "parse_gr",
-    "parse_td",
-    "postorder_traversal",
-    "run6",
-    "run_dp",
-    "validate_td",
-    "write_gr",
-    "write_td",
-]
+from importlib import import_module
+
+_HOME = {
+    "DPResult": "dp",
+    "run_dp": "dp",
+    "Graph": "graph",
+    "MixedElement": "graph",
+    "is_mixed_dominating_set": "graph",
+    "mixed_closed_neighborhood": "graph",
+    "neighbors": "graph",
+    "parse_gr": "graph",
+    "write_gr": "graph",
+    "Run6Result": "mds6",
+    "run6": "mds6",
+    "OracleResult": "oracle",
+    "SizeGuardError": "oracle",
+    "brute_force": "oracle",
+    "greedy_upper_bound": "oracle",
+    "NiceTreeDecomposition": "treedec",
+    "TreeDecomposition": "treedec",
+    "make_very_nice": "treedec",
+    "min_fill_decompose": "treedec",
+    "parse_td": "treedec",
+    "postorder_traversal": "treedec",
+    "validate_td": "treedec",
+    "write_td": "treedec",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -18,9 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from .dp import DPResult, render_table, run_dp
 from .graph import Graph, parse_gr
-from .mds6 import run6
 from .oracle import SizeGuardError, brute_force, greedy_upper_bound
 from .treedec import (
     NiceTreeDecomposition,
@@ -34,6 +32,20 @@ from .treedec import (
 )
 
 SCHEMA = "mixdom-report/1"
+
+
+# Each engine module is imported by the command that runs it.  run_dp and
+# run6 stay names of this module, where a profiler can patch them.
+def run_dp(*args, **kwargs):
+    from .dp import run_dp
+
+    return run_dp(*args, **kwargs)
+
+
+def run6(*args, **kwargs):
+    from .mds6 import run6
+
+    return run6(*args, **kwargs)
 
 
 class CliError(Exception):
@@ -141,6 +153,8 @@ def _report(args, payload: dict) -> None:
 
 
 def _render_trace(g: Graph, ntd: NiceTreeDecomposition, tau, tables) -> str:
+    from .dp import render_table
+
     sections = []
     for pos, idx in enumerate(tau):
         node = ntd.nodes[idx]
@@ -182,7 +196,7 @@ def cmd_solve(args) -> int:
             if args.algo == "six":
                 gamma, min_sets = run6(g, ntd, tau=tau, cost_cap=cap).gamma, None
             else:
-                res: DPResult = run_dp(
+                res = run_dp(
                     g,
                     ntd,
                     tau=tau,
@@ -241,9 +255,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_trace(args) -> int:
     g = _load_graph(args.graph)
+    # a given decomposition is read and checked before the empty-graph test
+    td = _decomposition(g, args)
     if g.vertex_count == 0:
         raise CliError(2, "nothing to trace: the graph has no vertices")
-    td = _decomposition(g, args)
     ntd = _very_nice(g, td)
     tau = postorder_traversal(ntd)
     try:

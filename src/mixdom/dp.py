@@ -54,9 +54,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, is_mixed_dominating_set
 from .treedec import NiceTreeDecomposition
@@ -551,8 +551,7 @@ def _join_grouped(
     return result
 
 
-@dataclass(frozen=True)
-class DPResult:
+class DPResult(NamedTuple):
     gamma: int
     min_sets: frozenset[int] | None = None
     tables: tuple[StateTable, ...] | None = None

@@ -9,12 +9,10 @@ two endpoints and the edges sharing exactly one endpoint with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class MixedElement:
+class MixedElement(NamedTuple):
     """A member of V ∪ E: a vertex or an edge of a specific graph."""
 
     kind: str  # "v" for vertex, "e" for edge
@@ -240,9 +238,10 @@ def is_mixed_dominating_set(g: Graph, s: int | Iterable[MixedElement]) -> bool:
         raise ValueError("mixed set has bits outside V ∪ E")
     covered = 0
     masks = domination_masks(g)
-    for i in range(g.element_count):
-        if s >> i & 1:
-            covered |= masks[i]
+    while s:
+        low = s & -s
+        covered |= masks[low.bit_length() - 1]
+        s ^= low
     return covered == (1 << g.element_count) - 1
 
 

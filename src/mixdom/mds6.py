@@ -85,8 +85,8 @@ introduce.  Tables leave each operation as dicts again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .graph import Graph
 from .treedec import NiceTreeDecomposition
@@ -140,14 +140,12 @@ _ZETA = {s: tuple(((x,), 1) for x in STATES if _below(s, x)) for s in STATES}
 _MOEBIUS = {y: tuple(((x,), m) for x, m in _moebius_row(y)) for y in STATES}
 
 
-@dataclass(frozen=True)
-class SixTable:
+class SixTable(NamedTuple):
     vertices: tuple[int, ...]  # ascending bag vertices, one slot each
     rows: Rows6
 
 
-@dataclass(frozen=True)
-class Run6Result:
+class Run6Result(NamedTuple):
     gamma: int
     tables: tuple[SixTable, ...] | None = None
 

@@ -7,8 +7,8 @@ Used by the equivalence test suites and by the "oracle" CLI subcommand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .graph import Graph, domination_masks
 
@@ -22,8 +22,7 @@ class SizeGuardError(ValueError):
     """The graph has too many elements for exhaustive search."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """gamma: minimum size of a mixed dominating set.
 
     min_sets: all minimum sets as bitmasks over V ∪ E (vertices first,

@@ -5,14 +5,12 @@ introduce/forget/join bags) consumed by the dynamic programs."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import Graph, line_ints
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """Bags of vertex ids arranged in a tree over bag indices."""
 
     bags: tuple[frozenset[int], ...]
@@ -23,8 +21,7 @@ class TreeDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
 
-@dataclass(frozen=True)
-class NiceBag:
+class NiceBag(NamedTuple):
     """One bag of a very nice decomposition.
 
     vertex is the introduced or forgotten vertex for those kinds, else None.

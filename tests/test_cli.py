@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -179,15 +180,16 @@ def test_empty_graph_solves_to_zero(capsys, tmp_path):
     assert report["minimum_sets"] == [{"vertices": [], "edges": []}]
 
 
-@pytest.fixture(params=["empty-graph", "oracle"])
+@pytest.fixture(params=["empty-graph", "oracle", "trace-empty-graph"])
 def shortcut(request, tmp_path):
-    """Arguments of a solve that needs no decomposition: an empty graph,
-    or exhaustive search."""
+    """A command that needs no decomposition: solve on an empty graph,
+    exhaustive search, or trace on an empty graph."""
     if request.param == "oracle":
-        return ["--graph", G1, "--algo", "oracle"]
+        return ["solve", "--graph", G1, "--algo", "oracle"]
     empty = tmp_path / "empty.gr"
     empty.write_text("p tw 0 0\n")
-    return ["--graph", str(empty)]
+    command = "trace" if request.param == "trace-empty-graph" else "solve"
+    return [command, "--graph", str(empty)]
 
 
 @pytest.mark.parametrize(
@@ -204,7 +206,7 @@ def test_solve_checks_a_given_decomposition_before_any_shortcut(
     td = tmp_path / "given.td"
     if td_text is not None:
         td.write_text(td_text)
-    rc, out, err = run_cli(capsys, "solve", *shortcut, "--td", str(td))
+    rc, out, err = run_cli(capsys, *shortcut, "--td", str(td))
     assert rc == code
     assert out == ""
     assert err.startswith("error:")
@@ -392,14 +394,15 @@ def test_enumerating_a_long_path_stays_fast(tmp_path):
         assert is_mixed_dominating_set(g, mask)
 
 
-def test_solve_does_not_import_the_reference_joins():
+def loaded_modules(*lines: str) -> set[str]:
+    """The mixdom modules and dataclasses that a fresh interpreter has
+    loaded after running the given lines."""
     script = "\n".join(
         [
             "import sys",
-            "from mixdom.cli import main",
-            "for extra in ([], ['--algo', 'six'], ['--enumerate']):",
-            f"    assert main(['solve', '--graph', {G1!r}, *extra]) == 0",
-            "print(sorted(m for m in sys.modules if m.startswith('mixdom')))",
+            *lines,
+            "print(sorted(m for m in sys.modules"
+            " if m.startswith('mixdom') or m == 'dataclasses'))",
         ]
     )
     src = str(Path(mixdom.__file__).parents[1])
@@ -409,10 +412,31 @@ def test_solve_does_not_import_the_reference_joins():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
-    modules = done.stdout.splitlines()[-1]
-    assert "'mixdom.cli'" in modules
-    assert "mixdom.reference" not in modules
-    assert "mixdom.tables" not in modules
+    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_engine():
+    modules = loaded_modules("import mixdom.cli")
+    assert "mixdom.cli" in modules
+    assert not modules & {"mixdom.dp", "mixdom.mds6", "dataclasses"}
+
+
+def test_solve_does_not_import_the_reference_joins():
+    # one fresh interpreter per mode, so each mode's engine is seen apart
+    for extra, engine, other in [
+        ([], "mixdom.dp", "mixdom.mds6"),
+        (["--enumerate"], "mixdom.dp", "mixdom.mds6"),
+        (["--algo", "six"], "mixdom.mds6", "mixdom.dp"),
+    ]:
+        modules = loaded_modules(
+            "from mixdom.cli import main",
+            f"assert main(['solve', '--graph', {G1!r}, *{extra!r}]) == 0",
+        )
+        assert "mixdom.cli" in modules
+        assert "mixdom.reference" not in modules
+        assert "mixdom.tables" not in modules
+        assert engine in modules and other not in modules, extra
+        assert "dataclasses" not in modules
 
 
 def test_every_traced_name_is_a_callable():

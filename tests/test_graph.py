@@ -158,6 +158,22 @@ def test_mask_elements_round_trips_every_subset(g1):
         }
 
 
+def test_domination_check_agrees_with_neighborhood_unions_on_every_subset():
+    # the 2x3 grid: 6 vertices and 7 edges, so 8192 mixed sets
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    elements = list(g.elements())
+    assert len(elements) == 13
+    for mask in range(1 << len(elements)):
+        members = [x for i, x in enumerate(elements) if mask >> i & 1]
+        covered = set().union(*(mixed_closed_neighborhood(g, x) for x in members))
+        expected = len(covered) == len(elements)
+        assert is_mixed_dominating_set(g, mask) is expected, mask
+        assert is_mixed_dominating_set(g, members) is expected, mask
+    for outside in (-1, 1 << 13):
+        with pytest.raises(ValueError):
+            is_mixed_dominating_set(g, outside)
+
+
 def test_mask_elements_rejects_bits_outside_the_elements(g1):
     with pytest.raises(ValueError):
         g1.mask_elements(1 << g1.element_count)
