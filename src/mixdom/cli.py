@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .graph import Graph, parse_gr
 from .oracle import SizeGuardError, brute_force, greedy_upper_bound
@@ -30,6 +30,9 @@ from .treedec import (
     validate_td,
     write_td,
 )
+
+if TYPE_CHECKING:
+    import random
 
 SCHEMA = "mixdom-report/1"
 
@@ -292,6 +295,8 @@ def cmd_bench(args) -> int:
         raise CliError(2, f"--width must be at least 0, got {args.width}")
     if not 0 <= args.keep <= 1:
         raise CliError(2, f"--keep must lie in [0, 1], got {args.keep}")
+    import random  # only bench draws graphs; solve jobs skip its import
+
     rng = random.Random(args.seed)
     g = _random_partial_ktree(rng, args.n, args.width, args.keep)
     td = min_fill_decompose(g)

@@ -15,12 +15,13 @@ states behave identically onward, six vertex states remain:
     7  undominated, owning an undominated edge
 
 Rows map a state tuple to a cost ledger: how many branch outcomes realize
-the tuple at each cost.  The counts ride along so that joins can run
+the tuple at each cost.  The counts ride along so that a join can run
 through the per-slot zeta transform of the state lattice that _supremum
 defines (generalised fast subset convolution, van Rooij, Bodlaender and
 Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
 counts come back by Moebius inversion; exact integers keep the inversion
-lossless.
+lossless.  A join whose tables are small pairs their rows instead (Pair
+join, below).
 
 Dominated rows.  Under a cost cap, which also turns on the cost window
 of walk.py, no table keeps a row that a better row matches at no higher
@@ -55,10 +56,10 @@ table as built, so chains of dropped rows end at a kept row, which
 dominates each row of its chain: every step is strictly up the order.
 The table's minimum is kept, and with it the window of walk.py.  Ledger
 counts stay exact counts of the branch and pair outcomes of the entries
-that are kept, so join6's inversion stays exact; they were never a
-number of sets, and are not now.  The pass runs after every introduce,
-forget and join and also cuts the table to its window; only a forget's
-or a join's table can reach past it.  Without a cost cap no row is
+that are kept, so transform_join6's inversion stays exact; they were
+never a number of sets, and are not now.  The pass runs after every
+introduce, forget and join and also cuts the table to its window; only a
+forget's or a join's table can reach past it.  Without a cost cap no row is
 dropped, so the tables are the full ones.
 
 Packed ledgers.  Inside introduce6, join6 and the transforms, a ledger
@@ -81,6 +82,27 @@ counts for a transform (its coefficients are 0 and +-1, and each input
 entry reaches each output entry once), the product of the two count
 totals for a join, and the count total times the branches per row for an
 introduce.  Tables leave each operation as dicts again.
+
+Pair join.  join6 picks its method per join from a count it makes before
+it forms any pair.  Each row becomes a flag word of dp.py's vertex bytes
+(its module docstring): MEMBER, MARKED, DOMINATED and WAITING, where
+WAITING stands for owning an undominated edge, so 1 is M+D, 3 is K+D, 4
+is D, 5 is no flag, 6 is D+W and 7 is W.  Rows merge only when their
+MEMBER bits agree.  Within such a group the OR of two bytes, with WAITING
+cleared under MARKED, is their supremum: two members are M+D; among the
+other states the dominated and the owing flags are each set when either
+side sets them, which is how _supremum merges 4, 5, 6 and 7, and a 3 on
+either side leaves K+D, the top.  A pair's ledger is the product of the
+two packed ledgers (Packed ledgers, above), at the base of both tables'
+cheapest costs less the group's members, which both sides select; the
+field width and the cap mask are transform_join6's, so both methods give
+the same table.  The rows of a bag of k vertices form the sum over
+groups of |A_g| * |B_g| pairs.  When that is at most 6^k, join6 forms
+them; otherwise it runs transform_join6, whose tuples are at most 6^k.
+Either way a join's work stays within the 6^k of the paper's O(6^tw)
+bound.  Under a cost cap a table holds only undominated rows with one
+cost each, so capped joins nearly always pair; the full tables of an
+uncapped walk are where the transform wins.
 """
 
 from __future__ import annotations
@@ -99,6 +121,22 @@ IN_SOLUTION = 1
 EDGE_MARK = 3
 SETTLED = (1, 3, 4)  # states that survive a forget
 STATES = (1, 3, 4, 5, 6, 7)
+
+# A state as a vertex byte of dp.py's flag words (its module docstring),
+# for the pair join: 6 and 7 own an undominated edge, which dp.py's
+# WAITING flag stands for.  _TO_FLAGS and _FROM_FLAGS are bytes.translate
+# tables between states and bytes.
+MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
+_FLAGS = {
+    1: MEMBER | DOMINATED,
+    3: MARKED | DOMINATED,
+    4: DOMINATED,
+    5: 0,
+    6: DOMINATED | WAITING,
+    7: WAITING,
+}
+_TO_FLAGS = bytes.maketrans(bytes(_FLAGS), bytes(_FLAGS.values()))
+_FROM_FLAGS = bytes.maketrans(bytes(_FLAGS.values()), bytes(_FLAGS))
 
 
 def _supremum(a: int, b: int) -> int | None:
@@ -343,7 +381,80 @@ def moebius6(rows: Rows6) -> Rows6:
     return _transform_rows(rows, _MOEBIUS)
 
 
+def _by_members(rows: Rows6, members: int) -> dict[int, list[tuple[int, CostLedger]]]:
+    """The (flag word, ledger) of every row, grouped by the word's bits in
+    members."""
+    groups: dict[int, list[tuple[int, CostLedger]]] = {}
+    for key, ledger in rows.items():
+        word = int.from_bytes(bytes(key).translate(_TO_FLAGS), "little")
+        groups.setdefault(word & members, []).append((word, ledger))
+    return groups
+
+
 def join6(
+    a: SixTable,
+    b: SixTable,
+    stats: dict | None = None,
+    cost_cap: int | None = None,
+) -> SixTable:
+    """Join two tables of one bag of k vertices, by pairs when the rows
+    present form at most 6^k pairs, else by transform_join6.
+
+    Rows pair only within a group of equal MEMBER bits, so the pairs are
+    counted per group before any is formed.  A pair's word is the OR of the
+    two flag words with WAITING cleared under MARKED, its ledger the
+    product of the two packed ledgers, shifted by the group's members,
+    which both sides select (module docstring, "Pair join").  The field
+    width and the cap mask are transform_join6's, so both methods return
+    the same table.  With stats, "pairs" counts the pairs formed and
+    "transform_tuples" the tuples transformed; one of them is 0.
+    """
+    if a.vertices != b.vertices:
+        raise ValueError("join children must share the same bag")
+    k = len(a.vertices)
+    ones = int.from_bytes(b"\x01" * k, "little")
+    groups_a = _by_members(a.rows, ones * MEMBER)
+    groups_b = _by_members(b.rows, ones * MEMBER)
+    pairs = sum(len(g) * len(groups_b.get(m, ())) for m, g in groups_a.items())
+    if pairs > 6 ** k:
+        if stats is not None:
+            stats["pairs"] = 0
+        return transform_join6(a, b, stats, cost_cap)
+    if stats is not None:
+        stats["pairs"] = pairs
+        stats["transform_tuples"] = 0
+    base_a, total_a = _base_total(a.rows)
+    base_b, total_b = _base_total(b.rows)
+    w = _width(total_a * total_b)
+    waiting = ones * WAITING  # MARKED << 2 lands on WAITING
+    rows: Rows6 = {}
+    for members, group in groups_a.items():
+        partners = [(wb, _pack(lb, w, base_b)) for wb, lb in groups_b.get(members, ())]
+        if not partners:
+            continue
+        ored: dict[int, int] = {}
+        for wa, la in group:
+            x = _pack(la, w, base_a)
+            for wb, y in partners:
+                word = wa | wb
+                ored[word] = ored.get(word, 0) + x * y
+        # WAITING cleared under MARKED, once per word rather than per pair
+        product: dict[int, int] = {}
+        for word, x in ored.items():
+            word &= ~(word << 2 & waiting)
+            product[word] = product.get(word, 0) + x
+        base = base_a + base_b - members.bit_count()
+        keep = None if cost_cap is None else w * max(cost_cap - base + 1, 0)
+        for word, x in product.items():
+            if keep is not None and x.bit_length() > keep:
+                x &= ~(-1 << keep)
+            if x:
+                key = tuple(word.to_bytes(k, "little").translate(_FROM_FLAGS))
+                rows[key] = _unpack(x, w, base)
+    return SixTable(a.vertices, rows)
+
+
+def transform_join6(
     a: SixTable,
     b: SixTable,
     stats: dict | None = None,

@@ -5,8 +5,8 @@ the ⋆_int/∗_int and ⋆_join/∗_join tables of tables.py in one pair-merge
 kernel (_merge_pairs); direct_join6 merges six-state rows by their
 supremum.  They are the specification the engine is checked against, and
 the engine (dp.py, mds6.py) never calls them: run_dp merges flag words in
-its own kernel, and run6 joins through the lattice transform.  Neither
-the engine modules nor the CLI import this module or tables.py.
+its own kernel, and run6 joins flag words or runs the lattice transform.
+Neither the engine modules nor the CLI import this module or tables.py.
 """
 
 from __future__ import annotations

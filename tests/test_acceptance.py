@@ -23,7 +23,7 @@ from mixdom.dp import (
     run_dp,
 )
 from mixdom.graph import Graph, parse_gr
-from mixdom.mds6 import join6, moebius6, run6, zeta6
+from mixdom.mds6 import join6, moebius6, run6, transform_join6, zeta6
 from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.reference import direct_join6, introduce_combine
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, postorder_traversal, validate_td
@@ -184,10 +184,11 @@ def test_c09_transform_join_equals_direct_join():
             a = res.tables[position[node.children[0]]]
             b = res.tables[position[node.children[1]]]
             stats: dict = {}
-            fast = join6(a, b, stats=stats, cost_cap=cap)
+            fast = transform_join6(a, b, stats=stats, cost_cap=cap)
             slow = direct_join6(a, b, cost_cap=cap)
             assert fast.rows == slow.rows
             assert stats["transform_tuples"] <= 6 ** (td.width() + 1)
+            assert join6(a, b, cost_cap=cap).rows == slow.rows
             joins += 1
     assert joins > 100, f"suite exercised only {joins} join bags"
 

@@ -395,21 +395,22 @@ def test_enumerating_a_long_path_stays_fast(tmp_path):
 
 
 def loaded_modules(*lines: str) -> set[str]:
-    """The mixdom modules and dataclasses that a fresh interpreter has
-    loaded after running the given lines."""
+    """The mixdom modules, dataclasses and random that a fresh interpreter
+    has loaded after running the given lines.  The interpreter runs
+    without site (-S), whose start-up hooks may import random."""
     script = "\n".join(
         [
             "import sys",
             *lines,
             "print(sorted(m for m in sys.modules"
-            " if m.startswith('mixdom') or m == 'dataclasses'))",
+            " if m.startswith('mixdom') or m in ('dataclasses', 'random')))",
         ]
     )
     src = str(Path(mixdom.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return set(ast.literal_eval(done.stdout.splitlines()[-1]))
@@ -437,6 +438,7 @@ def test_solve_does_not_import_the_reference_joins():
         assert "mixdom.tables" not in modules
         assert engine in modules and other not in modules, extra
         assert "dataclasses" not in modules
+        assert "random" not in modules
 
 
 def test_every_traced_name_is_a_callable():

@@ -24,6 +24,7 @@ from mixdom.mds6 import (
     leaf6,
     moebius6,
     run6,
+    transform_join6,
     zeta6,
 )
 from mixdom.oracle import brute_force, greedy_upper_bound
@@ -151,6 +152,7 @@ def test_join6_matches_direct_join_on_random_tables():
 
         a, b = random_table(), random_table()
         assert join6(a, b).rows == direct_join6(a, b).rows
+        assert transform_join6(a, b).rows == direct_join6(a, b).rows
 
 
 def test_join_requires_matching_bags():
@@ -231,6 +233,7 @@ def test_capped_joins_agree_and_keep_entries_within_the_cap():
         cap = rng.randint(2, 6)
         fast = join6(a, b, cost_cap=cap)
         assert fast.rows == direct_join6(a, b, cost_cap=cap).rows
+        assert transform_join6(a, b, cost_cap=cap).rows == fast.rows
         full = direct_join6(a, b)
         expected = {
             key: {c: n for c, n in led.items() if c <= cap}
@@ -299,11 +302,34 @@ def test_join6_matches_direct_join_on_huge_counts():
         a = SixTable(vertices, _random_rows(rng, slots, 2 ** 150, costs))
         b = SixTable(vertices, _random_rows(rng, slots, 2 ** 150, costs))
         assert join6(a, b).rows == direct_join6(a, b).rows
+        assert transform_join6(a, b).rows == direct_join6(a, b).rows
         cap = rng.randint(2, 8)
         assert join6(a, b, cost_cap=cap).rows == direct_join6(a, b, cost_cap=cap).rows
+        assert transform_join6(a, b, cost_cap=cap).rows == direct_join6(a, b, cost_cap=cap).rows
     top = 2 ** 150 - 1
     one = SixTable((0,), {(5,): {3: top}})
     assert join6(one, one).rows == {(5,): {6: top * top}}
+
+
+def test_join6_pairs_up_to_six_to_the_k_pairs_and_transforms_past_it():
+    # two slots, so join6 forms at most 6^2 = 36 pairs: six non-member rows
+    # a side make exactly 36, and one member row more a side makes 37
+    outside = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (5, 5)]
+    rows = {key: {i % 3: i + 1} for i, key in enumerate(outside)}
+    below = (SixTable((0, 1), rows), SixTable((0, 1), _scaled(rows, 2 ** 40, 1)))
+    above = (
+        SixTable((0, 1), {**below[0].rows, (1, 5): {2: 1}}),
+        SixTable((0, 1), {**below[1].rows, (1, 7): {1: 2}}),
+    )
+    for cap in (None, 3):
+        for (a, b), pairs in [(below, 36), (above, 0)]:
+            stats: dict = {}
+            joined = join6(a, b, stats=stats, cost_cap=cap)
+            assert joined.rows == direct_join6(a, b, cost_cap=cap).rows
+            assert joined.rows == transform_join6(a, b, cost_cap=cap).rows
+            assert stats["pairs"] == pairs
+            assert (stats["transform_tuples"] == 0) == (pairs > 0)
+            assert stats["pairs"] + stats["transform_tuples"] <= 6 ** 2
 
 
 def _direct_zeta(rows):
