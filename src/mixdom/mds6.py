@@ -23,6 +23,28 @@ counts come back by Moebius inversion; exact integers keep the inversion
 lossless.  A join whose tables are small pairs their rows instead (Pair
 join, below).
 
+Flag words.  Inside the engine a row is keyed by an integer with one
+byte per bag vertex, slot i in bits 8i..8i+7 (vertices ascending), each
+byte holding dp.py's vertex flags (its module docstring): MEMBER, MARKED,
+DOMINATED and WAITING, where WAITING stands for owning an undominated
+edge.  So 1 is M+D, 3 is K+D, 4 is D, 5 is no flag, 6 is D+W and 7 is W.
+SixTable.rows decodes the words to state tuples on each access, and
+SixTable(vertices, rows) encodes rows built by hand.  Each operation
+works on the words:
+
+    An introduce moves a child word up by one byte at the new slot and
+    adds a delta.  A branch (the new vertex's membership, each new
+    edge's, an owner for each new edge left undominated) rewrites only
+    the bytes of the new vertex and its neighbours, so the deltas, their
+    costs and how many branches give each depend only on the
+    neighbours' bytes; _outcomes lists them once per neighbour pattern
+    and bag shape, and every row with that pattern reuses them.  A
+    forget keeps a row when the forgotten byte has DOMINATED set and
+    WAITING clear, which are the states 1, 3 and 4, and shifts the byte
+    out.  A join ORs the words of two rows (Pair join, below).  The
+    dominated-row pass below steps one byte up the goodness order
+    (_GOODNESS).
+
 Dominated rows.  Under a cost cap, which also turns on the cost window
 of walk.py, no table keeps a row that a better row matches at no higher
 cost.  Order a slot's states by how good they are for what is still to
@@ -57,22 +79,33 @@ dominates each row of its chain: every step is strictly up the order.
 The table's minimum is kept, and with it the window of walk.py.  Ledger
 counts stay exact counts of the branch and pair outcomes of the entries
 that are kept, so transform_join6's inversion stays exact; they were
-never a number of sets, and are not now.  The pass runs after every
-introduce, forget and join and also cuts the table to its window; only a
-forget's or a join's table can reach past it.  Without a cost cap no row is
-dropped, so the tables are the full ones.
+never a number of sets, and are not now.
 
-Packed ledgers.  Inside introduce6, join6 and the transforms, a ledger
-{cost: count} is one integer, sum of count * 2^(w * (cost - base)), with
-fields of w bits (Kronecker substitution; Harvey, 2009).  A table's
-ledgers share one w and one base, the table's cheapest cost, so an int
-holds only the few fields of the cost window above it, not one field per
-cost from 0.  As long as no field overflows, packing is exact and
-linear: the sum of packed ints is the packed sum, so the per-slot
-transforms run on packed ints unchanged; shifting by w bits adds 1 to
-every cost; and the product of two packed ints is the packed product of
-their ledgers, field c holding the sum of count_a(i) * count_b(c - i).
-One integer operation thus does the work of a loop over a ledger.
+Capped tables.  So under a cost cap a table holds one [cost, count] per
+row: the cheapest cost of the row and the number of branch or pair
+outcomes at that cost.  introduce6 with a cost cap forms only those, up
+to the cap and the window (its minimum is its child's), and runs the
+pass; forget6 keeps its child's form and, on a capped table, runs the
+pass with the window, which a forget can raise.  join6 returns every
+pair outcome's cost under the cap, as transform_join6 and
+reference.direct_join6 do, and the walk (_SixState.join) runs the pass
+with the window on it.  Without a cost cap no row is dropped, so the
+tables are the full ones, {cost: count} ledgers per row; so are the
+tables built by hand.
+
+Packed ledgers.  Inside the operations on full tables (introduce6
+without a cost cap, join6 of tables not both capped, and the
+transforms), a ledger {cost: count} is one integer, the sum of
+count * 2^(w * (cost - base)), with fields of w bits (Kronecker
+substitution; Harvey, 2009).  A table's ledgers share one w and one
+base, the table's cheapest cost, so an int holds only the few fields of
+the cost window above it, not one field per cost from 0.  As long as no
+field overflows, packing is exact and linear: the sum of packed ints is
+the packed sum, so the per-slot transforms run on packed ints
+unchanged; shifting by w bits adds 1 to every cost; and the product of
+two packed ints is the packed product of their ledgers, field c holding
+the sum of count_a(i) * count_b(c - i).  One integer operation thus
+does the work of a loop over a ledger.
 
 Fields are signed, so a packed int also holds the negative counts a
 Moebius inversion of a non-image produces.  _width(bound) gives bound's
@@ -84,11 +117,8 @@ totals for a join, and the count total times the branches per row for an
 introduce.  Tables leave each operation as dicts again.
 
 Pair join.  join6 picks its method per join from a count it makes before
-it forms any pair.  Each row becomes a flag word of dp.py's vertex bytes
-(its module docstring): MEMBER, MARKED, DOMINATED and WAITING, where
-WAITING stands for owning an undominated edge, so 1 is M+D, 3 is K+D, 4
-is D, 5 is no flag, 6 is D+W and 7 is W.  Rows merge only when their
-MEMBER bits agree.  Within such a group the OR of two bytes, with WAITING
+it forms any pair.  Rows merge only when the MEMBER bits of their flag
+words agree.  Within such a group the OR of two bytes, with WAITING
 cleared under MARKED, is their supremum: two members are M+D; among the
 other states the dominated and the owing flags are each set when either
 side sets them, which is how _supremum merges 4, 5, 6 and 7, and a 3 on
@@ -96,7 +126,9 @@ either side leaves K+D, the top.  A pair's ledger is the product of the
 two packed ledgers (Packed ledgers, above), at the base of both tables'
 cheapest costs less the group's members, which both sides select; the
 field width and the cap mask are transform_join6's, so both methods give
-the same table.  The rows of a bag of k vertices form the sum over
+the same table.  When both tables are capped, a pair's ledger is the
+one entry (cost_a + cost_b - members, count_a * count_b), formed without
+packing.  The rows of a bag of k vertices form the sum over
 groups of |A_g| * |B_g| pairs.  When that is at most 6^k, join6 forms
 them; otherwise it runs transform_join6, whose tuples are at most 6^k.
 Either way a join's work stays within the 6^k of the paper's O(6^tw)
@@ -107,7 +139,9 @@ uncapped walk are where the transform wins.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
+from math import comb
 from typing import NamedTuple
 
 from .graph import Graph
@@ -119,13 +153,12 @@ Rows6 = dict[tuple, CostLedger]
 
 IN_SOLUTION = 1
 EDGE_MARK = 3
-SETTLED = (1, 3, 4)  # states that survive a forget
 STATES = (1, 3, 4, 5, 6, 7)
 
-# A state as a vertex byte of dp.py's flag words (its module docstring),
-# for the pair join: 6 and 7 own an undominated edge, which dp.py's
-# WAITING flag stands for.  _TO_FLAGS and _FROM_FLAGS are bytes.translate
-# tables between states and bytes.
+# A state as a vertex byte of dp.py's flag words (module docstring, "Flag
+# words"): 6 and 7 own an undominated edge, which dp.py's WAITING flag
+# stands for.  _TO_FLAGS and _FROM_FLAGS are bytes.translate tables
+# between states and bytes, for rows read or built as state tuples.
 MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
 _FLAGS = {
     1: MEMBER | DOMINATED,
@@ -178,9 +211,48 @@ _ZETA = {s: tuple(((x,), 1) for x in STATES if _below(s, x)) for s in STATES}
 _MOEBIUS = {y: tuple(((x,), m) for x, m in _moebius_row(y)) for y in STATES}
 
 
-class SixTable(NamedTuple):
+class _Words(NamedTuple):
     vertices: tuple[int, ...]  # ascending bag vertices, one slot each
-    rows: Rows6
+    # flag word -> ledger {cost: count}, or [cost, count] when capped
+    words: dict
+    capped: bool
+
+
+class SixTable(_Words):
+    """One bag's table.  rows is the table keyed by state tuples, decoded
+    on each access; SixTable(vertices, rows) builds a full table from such
+    rows."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices, rows: Rows6):
+        k = len(vertices)
+        words = {_encode(key, k): ledger for key, ledger in rows.items()}
+        return _new(cls, (tuple(vertices), words, False))
+
+    @property
+    def rows(self) -> Rows6:
+        k = len(self.vertices)
+        return {_decode(word, k): led for word, led in zip(self.words, _ledgers(self))}
+
+
+_new = tuple.__new__
+
+
+def _table(vertices: tuple[int, ...], words: dict, capped: bool) -> SixTable:
+    return _new(SixTable, (vertices, words, capped))
+
+
+def _encode(key, k: int) -> int:
+    """The flag word of a state tuple of k slots."""
+    key = tuple(key)
+    if len(key) != k or not all(s in _FLAGS for s in key):
+        raise ValueError(f"{key} is not a row of a {k}-vertex bag")
+    return int.from_bytes(bytes(key).translate(_TO_FLAGS), "little")
+
+
+def _decode(word: int, k: int) -> tuple[int, ...]:
+    return tuple(word.to_bytes(k, "little").translate(_FROM_FLAGS))
 
 
 class Run6Result(NamedTuple):
@@ -198,10 +270,12 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
-def _base_total(rows: Rows6) -> tuple[int, int]:
-    """The cheapest cost in rows, and the sum of their absolute counts."""
-    base = min(map(min, rows.values()), default=0)
-    return base, sum(map(abs, chain.from_iterable(map(dict.values, rows.values()))))
+def _base_total(ledgers) -> tuple[int, int]:
+    """The cheapest cost in some ledgers, and the sum of their absolute
+    counts."""
+    ledgers = list(ledgers)
+    base = min(map(min, ledgers), default=0)
+    return base, sum(map(abs, chain.from_iterable(map(dict.values, ledgers))))
 
 
 def _pack(ledger: CostLedger, w: int, base: int) -> int:
@@ -209,6 +283,34 @@ def _pack(ledger: CostLedger, w: int, base: int) -> int:
     for cost, count in ledger.items():
         x += count << w * (cost - base)
     return x
+
+
+def _ledgers(table: SixTable):
+    """The {cost: count} ledger of every row, in the order of its words."""
+    if table.capped:
+        return [{cost: count} for cost, count in table.words.values()]
+    return table.words.values()
+
+
+def _packed(table: SixTable, w: int, base: int) -> dict[int, int]:
+    """Every row of a table as its flag word and its packed ledger."""
+    return {
+        word: _pack(ledger, w, base)
+        for word, ledger in zip(table.words, _ledgers(table))
+    }
+
+
+def _cheapest(table: SixTable) -> dict[int, list]:
+    """Every row of a table as its flag word and [cheapest cost, count]."""
+    if table.capped:
+        return table.words
+    return {word: [c := min(led), led[c]] for word, led in table.words.items()}
+
+
+def _low(rows: dict[int, list]) -> int | None:
+    """The cheapest cost of [cost, count] rows (lists compare by cost
+    first)."""
+    return min(rows.values())[0] if rows else None
 
 
 def _unpack(x: int, w: int, base: int) -> CostLedger:
@@ -235,112 +337,191 @@ def leaf6(g: Graph, bag_vertices) -> SixTable:
     bag = tuple(bag_vertices)
     if len(bag) != 1:
         raise ValueError(f"leaf bag must be a single vertex, got {sorted(bag)}")
-    return SixTable(bag, {(1,): {1: 1}, (5,): {0: 1}})
+    return _table(bag, {MEMBER | DOMINATED: {1: 1}, 0: {0: 1}}, False)
+
+
+class _Branches(dict):
+    """The _outcomes of an introduce at slot pos with neighbours at slots
+    nbrs, by child word masked to the neighbours' bytes, each built the
+    first time it is looked up: for a capped table, per delta its
+    cheapest (cost, delta, branches), sorted by cost; for a full table,
+    per delta its (delta, [(cost, branches)])."""
+
+    def __init__(self, pos: int, nbrs: tuple[int, ...], capped: bool):
+        super().__init__()
+        self.pos = pos
+        self.nbrs = nbrs
+        self.capped = capped
+        self.mask = 0
+        for i in nbrs:
+            self.mask |= 0xFF << 8 * (i - (i > pos))
+
+    def __missing__(self, masked: int) -> list:
+        found = _outcomes(self.pos, self.nbrs, masked)
+        if self.capped:
+            found = sorted([(led[0][0], delta, led[0][1]) for delta, led in found])
+        self[masked] = found
+        return found
+
+
+_shape = lru_cache(maxsize=4096)(_Branches)
+
+
+@lru_cache(maxsize=None)
+def _selected(cost: int, kept: int) -> tuple[tuple[int, int], ...]:
+    """(cost + j, C(kept, j)) for j = 0 .. kept."""
+    return tuple((cost + j, comb(kept, j)) for j in range(kept + 1))
+
+
+def _outcomes(pos: int, nbrs: tuple[int, ...], masked: int) -> list[tuple]:
+    """The branches of introducing a vertex at slot pos whose neighbours
+    sit at slots nbrs, for a child word whose neighbour bytes are masked:
+    over the vertex's membership, each new edge's membership, and who owns
+    each new edge that comes out undominated.  A branch rewrites only the
+    bytes of the vertex and its neighbours, so it adds a fixed delta to
+    the moved child word at a fixed cost.  Returns each delta with its
+    costs and how many branches give each, cheapest first.
+
+    Each neighbour's byte depends only on its own edge's choice, and the
+    vertex's byte tells the three kinds of branch apart, so the deltas are
+    sums over the neighbours, one per subset of the neighbours whose
+    choice shows.  A member or marked neighbour (1, 3) keeps its byte
+    whether its edge is selected or not: selecting j of those kept edges
+    adds j to the cost in C(kept, j) ways.  A neighbour that already owns
+    an edge (6, 7) keeps its byte whether it owns the new edge or the
+    vertex does."""
+    olds = [(masked >> 8 * (i - (i > pos)) & 0xFF, 8 * i) for i in nbrs]
+    kept = sum(1 for b, _ in olds if b & (MEMBER | MARKED))
+    others = [(b, shift) for b, shift in olds if not b & (MEMBER | MARKED)]
+    out = []
+    for dv in (0, 1):
+        # v selected (member) or, with a selected edge, marked; either
+        # way every unselected new edge is dominated from v's side
+        deltas = [(MEMBER | DOMINATED if dv else MARKED | DOMINATED) << 8 * pos]
+        costs = [dv]
+        for b, shift in others:
+            unselected = (b | DOMINATED if dv else b) - b << shift
+            selected = (MARKED | DOMINATED) - b << shift
+            deltas = [d + unselected for d in deltas] + [d + selected for d in deltas]
+            costs += [c + 1 for c in costs]
+        for delta, cost in zip(deltas, costs):
+            # selecting nothing at all is a branch of the kind below
+            out.append((delta, _selected(cost, kept)[cost == 0:]))
+    # nothing selected: new edges at member or marked neighbours are
+    # dominated, each other one is owned by v or by its neighbour
+    v_byte = (DOMINATED if any(b & MEMBER for b, _ in olds) else 0) << 8 * pos
+    v_owns = WAITING << 8 * pos
+    deltas = [0]
+    waiting = 0  # neighbours that own an edge already
+    for b, shift in others:
+        if b & WAITING:
+            waiting += 1
+        else:
+            deltas += [d + (WAITING << shift) for d in deltas]
+    # the last delta has every neighbour without an edge owning one
+    *some, every = deltas
+    out += [(d + v_byte + v_owns, [(0, 1 << waiting)]) for d in some]
+    out.append((every + v_byte, [(0, 1)]))
+    if waiting:
+        out.append((every + v_byte + v_owns, [(0, (1 << waiting) - 1)]))
+    return [entry for entry in out if entry[1]]
 
 
 def introduce6(
     g: Graph, table: SixTable, v_new: int, cost_cap: int | None = None
 ) -> SixTable:
-    """Extend every row by the new vertex, branching over its membership,
-    over each new edge's membership, and over who owns each new edge that
-    comes out undominated.
+    """Extend every row by the new vertex, by the branches that _outcomes
+    lists for the states of its neighbours.
 
-    Each child ledger is packed once; a branch adds it shifted by the
-    branch's cost, masked to the costs within the cap and the cost window
-    of walk.py.  An output field sums at most one child entry per (row,
-    branch), and a row has fewer than 3 * 2^d branches for d new edges, so
-    no field exceeds the child count total times 3 * 2^d."""
+    Under a cost cap the table is capped: a row keeps its cheapest cost
+    and the number of branch outcomes at that cost, only costs within the
+    cap and the cost window of walk.py are formed, and dominated rows are
+    dropped (module docstring).  Without one, each child ledger is packed
+    once and a branch adds it shifted by the branch's cost.  An output
+    field sums at most one child entry per (row, branch), and a row has
+    fewer than 3 * 2^d branches for d new edges, so no field exceeds the
+    child count total times 3 * 2^d."""
     if v_new in table.vertices:
         raise ValueError(f"vertex {v_new} is already in the bag")
     vertices = tuple(sorted(table.vertices + (v_new,)))
-    pos_new = vertices.index(v_new)
-    old_pos = [i for i in range(len(vertices)) if i != pos_new]
-    nbrs = [i for i in old_pos if g.has_edge(v_new, vertices[i])]
-    low, total = _base_total(table.rows)
+    pos = vertices.index(v_new)
+    nbrs = tuple(
+        i for i, u in enumerate(vertices) if i != pos and g.has_edge(v_new, u)
+    )
+    branches = _shape(pos, nbrs, cost_cap is not None)
+    mask = branches.mask
+    below = ~(-1 << 8 * pos)  # the bytes of the slots before pos
     if cost_cap is not None:
-        # the branch selecting nothing keeps every row's costs, so the
-        # table's minimum is low and its cost window of walk.py is known
-        cost_cap = min(cost_cap, low + len(vertices))
+        rows = _cheapest(table)
+        # the branch selecting nothing keeps every row's cost, so the
+        # table's minimum is the child's and its cost window is known
+        limit = min(cost_cap, (_low(rows) or 0) + len(vertices))
+        out: dict[int, list] = {}
+        get = out.get
+        for cword, (ccost, count) in rows.items():
+            budget = limit - ccost
+            base = (cword & below) | (cword & ~below) << 8
+            for shift, delta, ways in branches[cword & mask]:
+                if shift > budget:
+                    break
+                word = base + delta
+                cost = ccost + shift
+                entry = get(word)
+                if entry is None or cost < entry[0]:
+                    out[word] = [cost, count * ways]
+                elif cost == entry[0]:
+                    entry[1] += count * ways
+        return _undominated(_table(vertices, out, True), window=False)
+    low, total = _base_total(_ledgers(table))
     # a row has 2^(d+1) - 1 selections plus 2^(open edges) <= 2^d owners
     w = _width(total * (3 << len(nbrs)))
-    keep = None if cost_cap is None else w * max(cost_cap - low + 1, 0)
-    selections = [
-        [u for t, u in enumerate(nbrs) if bits >> t & 1]
-        for bits in range(1 << len(nbrs))
-    ]
-    packed: dict[tuple, int] = {}
-    for ckey, ledger in table.rows.items():
-        budget = None if cost_cap is None else cost_cap - min(ledger)
-        x = _pack(ledger, w, low)
-        # the row's ledger shifted by every cost a branch can add
+    packed: dict[int, int] = {}
+    for cword, x in _packed(table, w, low).items():
         shifted = [x << w * s for s in range(len(nbrs) + 2)]
-        if keep is not None and shifted[-1].bit_length() > keep:
-            # the cap cuts into this row's costs; a mask is built only then
-            shifted = [y & ~(-1 << keep) for y in shifted]
-        base = [0] * len(vertices)
-        for cpos, i in enumerate(old_pos):
-            base[i] = ckey[cpos]
-        for dv in (0, 1):
-            for selected in selections:
-                shift = dv + len(selected)
-                if budget is not None and shift > budget:
-                    continue
-                states = base.copy()
-                for u in selected:
-                    if states[u] != IN_SOLUTION:
-                        states[u] = EDGE_MARK
-                if dv:
-                    for u in nbrs:
-                        if states[u] == 5:
-                            states[u] = 4
-                        elif states[u] == 7:
-                            states[u] = 6
-                if dv or selected:
-                    # every unselected new edge is dominated from v's side
-                    states[pos_new] = 1 if dv else EDGE_MARK
-                    key = tuple(states)
-                    packed[key] = packed.get(key, 0) + shifted[shift]
-                    continue
-                # nothing selected: new edges at already-marked neighbors
-                # are dominated, the rest need an owner
-                open_edges = [u for u in nbrs if states[u] not in (1, 3)]
-                dominated = any(base[u] == IN_SOLUTION for u in nbrs)
-                for owners in range(1 << len(open_edges)):
-                    branch = states.copy()
-                    pend_new = False
-                    for t, u in enumerate(open_edges):
-                        if owners >> t & 1:
-                            pend_new = True
-                        elif branch[u] == 4:
-                            branch[u] = 6
-                        elif branch[u] == 5:
-                            branch[u] = 7
-                    if dominated:
-                        branch[pos_new] = 6 if pend_new else 4
-                    else:
-                        branch[pos_new] = 7 if pend_new else 5
-                    key = tuple(branch)
-                    packed[key] = packed.get(key, 0) + shifted[0]
-    return SixTable(
-        vertices, {key: _unpack(x, w, low) for key, x in packed.items()}
+        base = (cword & below) | (cword & ~below) << 8
+        for delta, shifts in branches[cword & mask]:
+            word = base + delta
+            y = packed.get(word, 0)
+            for s, ways in shifts:
+                y += shifted[s] * ways
+            packed[word] = y
+    return _table(
+        vertices, {word: _unpack(x, w, low) for word, x in packed.items()}, False
     )
 
 
 def forget6(table: SixTable, forgotten: int) -> SixTable:
     """Drop the vertex; rows where it is undominated or still owns an
-    undominated edge cannot be completed and disappear.  Costs are kept,
-    so a forget needs no cost cap."""
+    undominated edge cannot be completed and disappear: one byte test,
+    DOMINATED set and WAITING clear, finds the survivors (1, 3 and 4).
+    Costs are kept, so a forget needs no cost cap; a capped table stays
+    capped, cut to its cost window of walk.py and without dominated rows."""
     if forgotten not in table.vertices:
         raise ValueError(f"vertex {forgotten} is not in the bag")
     pos = table.vertices.index(forgotten)
-    vertices = tuple(v for v in table.vertices if v != forgotten)
-    rows: Rows6 = {}
-    for key, ledger in table.rows.items():
-        if key[pos] in SETTLED:
-            tgt = rows.setdefault(key[:pos] + key[pos + 1:], {})
+    vertices = table.vertices[:pos] + table.vertices[pos + 1:]
+    shift = 8 * pos
+    below = ~(-1 << shift)
+    if table.capped:
+        out: dict[int, list] = {}
+        get = out.get
+        for word, (cost, count) in table.words.items():
+            if word >> shift & (DOMINATED | WAITING) != DOMINATED:
+                continue
+            word = word & below | word >> 8 & ~below
+            entry = get(word)
+            if entry is None or cost < entry[0]:
+                out[word] = [cost, count]
+            elif cost == entry[0]:
+                entry[1] += count
+        return _undominated(_table(vertices, out, True), window=True)
+    rows: dict[int, CostLedger] = {}
+    for word, ledger in table.words.items():
+        if word >> shift & (DOMINATED | WAITING) == DOMINATED:
+            tgt = rows.setdefault(word & below | word >> 8 & ~below, {})
             for cost, count in ledger.items():
                 _add(tgt, cost, count)
-    return SixTable(vertices, rows)
+    return _table(vertices, rows, False)
 
 
 def _transform(packed: dict[tuple, int], mapping: dict) -> dict[tuple, int]:
@@ -359,7 +540,7 @@ def _transform(packed: dict[tuple, int], mapping: dict) -> dict[tuple, int]:
 
 
 def _transform_rows(rows: Rows6, mapping: dict) -> Rows6:
-    base, total = _base_total(rows)
+    base, total = _base_total(rows.values())
     w = _width(total)
     packed = {key: _pack(ledger, w, base) for key, ledger in rows.items()}
     return {
@@ -381,13 +562,11 @@ def moebius6(rows: Rows6) -> Rows6:
     return _transform_rows(rows, _MOEBIUS)
 
 
-def _by_members(rows: Rows6, members: int) -> dict[int, list[tuple[int, CostLedger]]]:
-    """The (flag word, ledger) of every row, grouped by the word's bits in
-    members."""
-    groups: dict[int, list[tuple[int, CostLedger]]] = {}
-    for key, ledger in rows.items():
-        word = int.from_bytes(bytes(key).translate(_TO_FLAGS), "little")
-        groups.setdefault(word & members, []).append((word, ledger))
+def _by_members(words, members: int) -> dict[int, list[int]]:
+    """Flag words grouped by their bits in members."""
+    groups: dict[int, list[int]] = {}
+    for word in words:
+        groups.setdefault(word & members, []).append(word)
     return groups
 
 
@@ -398,23 +577,25 @@ def join6(
     cost_cap: int | None = None,
 ) -> SixTable:
     """Join two tables of one bag of k vertices, by pairs when the rows
-    present form at most 6^k pairs, else by transform_join6.
+    present form at most 6^k pairs, else by transform_join6.  The result
+    holds every pair outcome's cost under the cap, capped children or not.
 
     Rows pair only within a group of equal MEMBER bits, so the pairs are
     counted per group before any is formed.  A pair's word is the OR of the
     two flag words with WAITING cleared under MARKED, its ledger the
-    product of the two packed ledgers, shifted by the group's members,
-    which both sides select (module docstring, "Pair join").  The field
-    width and the cap mask are transform_join6's, so both methods return
-    the same table.  With stats, "pairs" counts the pairs formed and
+    product of the two ledgers, shifted by the group's members, which both
+    sides select (module docstring, "Pair join"): one entry when both
+    tables are capped, else the product of two packed ledgers, whose field
+    width and cap mask are transform_join6's, so both methods return the
+    same table.  With stats, "pairs" counts the pairs formed and
     "transform_tuples" the tuples transformed; one of them is 0.
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
     k = len(a.vertices)
     ones = int.from_bytes(b"\x01" * k, "little")
-    groups_a = _by_members(a.rows, ones * MEMBER)
-    groups_b = _by_members(b.rows, ones * MEMBER)
+    groups_a = _by_members(a.words, ones * MEMBER)
+    groups_b = _by_members(b.words, ones * MEMBER)
     pairs = sum(len(g) * len(groups_b.get(m, ())) for m, g in groups_a.items())
     if pairs > 6 ** k:
         if stats is not None:
@@ -423,18 +604,43 @@ def join6(
     if stats is not None:
         stats["pairs"] = pairs
         stats["transform_tuples"] = 0
-    base_a, total_a = _base_total(a.rows)
-    base_b, total_b = _base_total(b.rows)
-    w = _width(total_a * total_b)
     waiting = ones * WAITING  # MARKED << 2 lands on WAITING
-    rows: Rows6 = {}
+    rows: dict[int, CostLedger] = {}
+    if a.capped and b.capped:
+        # one (cost, count) a row, so a pair's ledger is one entry
+        limit = float("inf") if cost_cap is None else cost_cap
+        for members, group in groups_a.items():
+            partners = [(wb, *b.words[wb]) for wb in groups_b.get(members, ())]
+            if not partners:
+                continue
+            shared = members.bit_count()
+            for wa in group:
+                ca, na = a.words[wa]
+                ca -= shared
+                for wb, cb, nb in partners:
+                    cost = ca + cb
+                    if cost > limit:
+                        continue
+                    word = wa | wb
+                    word &= ~(word << 2 & waiting)
+                    ledger = rows.get(word)
+                    if ledger is None:
+                        rows[word] = {cost: na * nb}
+                    else:
+                        ledger[cost] = ledger.get(cost, 0) + na * nb
+        return _table(a.vertices, rows, False)
+    base_a, total_a = _base_total(_ledgers(a))
+    base_b, total_b = _base_total(_ledgers(b))
+    w = _width(total_a * total_b)
+    packed_a = _packed(a, w, base_a)
+    packed_b = _packed(b, w, base_b)
     for members, group in groups_a.items():
-        partners = [(wb, _pack(lb, w, base_b)) for wb, lb in groups_b.get(members, ())]
+        partners = [(wb, packed_b[wb]) for wb in groups_b.get(members, ())]
         if not partners:
             continue
         ored: dict[int, int] = {}
-        for wa, la in group:
-            x = _pack(la, w, base_a)
+        for wa in group:
+            x = packed_a[wa]
             for wb, y in partners:
                 word = wa | wb
                 ored[word] = ored.get(word, 0) + x * y
@@ -449,9 +655,8 @@ def join6(
             if keep is not None and x.bit_length() > keep:
                 x &= ~(-1 << keep)
             if x:
-                key = tuple(word.to_bytes(k, "little").translate(_FROM_FLAGS))
-                rows[key] = _unpack(x, w, base)
-    return SixTable(a.vertices, rows)
+                rows[word] = _unpack(x, w, base)
+    return _table(a.vertices, rows, False)
 
 
 def transform_join6(
@@ -465,7 +670,8 @@ def transform_join6(
     doubly selected vertices.  Coordinate x of the product counts the pairs
     whose supremum lies below x, so the inversion yields the pair counts of
     every supremum while touching at most 6^k transform tuples instead of
-    pairing rows quadratically.
+    pairing rows quadratically.  The transform runs on state tuples, so the
+    rows are decoded on the way in and encoded on the way out.
 
     Ledgers are packed (see the module docstring) with field 0 at each
     table's cheapest cost, so one multiply forms a key's whole product
@@ -484,8 +690,8 @@ def transform_join6(
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
-    base_a, total_a = _base_total(a.rows)
-    base_b, total_b = _base_total(b.rows)
+    base_a, total_a = _base_total(_ledgers(a))
+    base_b, total_b = _base_total(_ledgers(b))
     w = _width(total_a * total_b)
     za = _transform({k: _pack(led, w, base_a) for k, led in a.rows.items()}, _ZETA)
     zb = _transform({k: _pack(led, w, base_b) for k, led in b.rows.items()}, _ZETA)
@@ -511,80 +717,96 @@ def transform_join6(
     return SixTable(a.vertices, rows)
 
 
-# The states strictly better than each state in the goodness order of the
-# module docstring, and the same as steps of a slot's byte in a row code
-# (_undominated).
-_GOODNESS = {1: (), 3: (), 4: (3,), 5: (3, 4), 6: (3, 4), 7: (3, 4, 5, 6)}
-_BETTER = {s: tuple(t - s for t in better) for s, better in _GOODNESS.items()}
+# The bytes strictly better than each non-member byte in the goodness
+# order of the module docstring: 3 above 4, 5, 6 and 7; 4 above 5, 6 and
+# 7; 5 and 6 above 7.  Members (1) and 3 have nothing above them.
+_GOODNESS = {
+    DOMINATED: (MARKED | DOMINATED,),
+    0: (MARKED | DOMINATED, DOMINATED),
+    DOMINATED | WAITING: (MARKED | DOMINATED, DOMINATED),
+    WAITING: (MARKED | DOMINATED, DOMINATED, 0, DOMINATED | WAITING),
+}
+_ABSENT = (float("inf"),)
 
 
-def _dominated(key: tuple, code: int, cost: int, lowest) -> bool:
-    """Whether some row one slot better than key costs at most cost, where
-    lowest maps a row code to its cheapest cost."""
-    shift = 0
-    for state in key:
-        for step in _BETTER[state]:
-            if lowest(code + (step << shift), cost + 1) <= cost:
-                return True
-        shift += 8
-    return False
+class _Steps(dict):
+    """Per flag word of a k-vertex bag, the amounts that turn it into the
+    words one slot better, each built the first time it is looked up."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+        # per slot and byte, the amounts that step that byte up
+        self.slots = tuple(
+            tuple(
+                tuple(better - b << 8 * i for better in _GOODNESS.get(b, ()))
+                for b in range(16)
+            )
+            for i in range(k)
+        )
+
+    def __missing__(self, word: int) -> tuple[int, ...]:
+        bytes_ = word.to_bytes(self.k, "little")
+        found = self[word] = tuple(
+            chain.from_iterable(map(tuple.__getitem__, self.slots, bytes_))
+        )
+        return found
 
 
-def _undominated(rows: Rows6, window: bool = False) -> Rows6:
-    """The rows that no row one slot better matches at no higher cheapest
-    cost, each cut to its cheapest cost; with window, also without the
-    rows above the cost window of walk.py.
+_steps = lru_cache(maxsize=64)(_Steps)
 
-    A row's code holds its states as bytes, slot i in byte i, so the code
-    of a row one slot better is the code plus a step shifted into a byte."""
-    low: dict[int, int] = {}
-    entries = []
-    for key, ledger in rows.items():
-        code = int.from_bytes(bytes(key), "little")
-        cost = min(ledger)
-        low[code] = cost
-        entries.append((key, code, cost))
-    limit = None
-    if window and entries:
-        limit = min(low.values()) + len(entries[0][0])
-    return {
-        key: {cost: rows[key][cost]}
-        for key, code, cost in entries
-        if (limit is None or cost <= limit) and not _dominated(key, code, cost, low.get)
-    }
+
+def _undominated(table: SixTable, window: bool) -> SixTable:
+    """The capped table of the rows that no row one slot better matches at
+    no higher cheapest cost, each with its cheapest cost and count; with
+    window, also without the rows above the cost window of walk.py."""
+    rows = _cheapest(table)
+    if len(rows) < 2:
+        return _table(table.vertices, rows, True)
+    k = len(table.vertices)
+    limit = _low(rows) + k if window else float("inf")
+    steps = _steps(k)
+    get = rows.get
+    kept = {}
+    for word, entry in rows.items():
+        cost = entry[0]
+        if cost > limit:
+            continue
+        for step in steps[word]:
+            if get(word + step, _ABSENT)[0] <= cost:
+                break
+        else:
+            kept[word] = entry
+    return _table(table.vertices, kept, True)
 
 
 class _SixState:
     """The six-state program's half of the bag walk, for one graph and one
-    cost cap.  Under a cap, every table an introduce, forget or join builds
-    goes through _undominated with the cost window of walk.py (an
-    introduce already stops at it).  Bag operations are looked up as module
-    globals on every call, so wrappers installed on this module from
-    outside see each call."""
+    cost cap.  Under a cap, introduce6 and forget6 return capped tables
+    (module docstring); a join's table holds every pair outcome under the
+    cap, and goes through _undominated with the cost window of walk.py
+    here.  Bag operations are looked up as module globals on every call,
+    so wrappers installed on this module from outside see each call."""
 
     def __init__(self, g: Graph, cost_cap: int | None):
         self.g = g
         self.cost_cap = cost_cap
 
-    def _kept(self, table: SixTable) -> SixTable:
-        if self.cost_cap is None:
-            return table
-        return SixTable(table.vertices, _undominated(table.rows, window=True))
-
     def leaf(self, bag):
         return leaf6(self.g, bag)
 
     def introduce(self, child, vertex):
-        return self._kept(introduce6(self.g, child, vertex, self.cost_cap))
+        return introduce6(self.g, child, vertex, self.cost_cap)
 
     def forget(self, child, vertex):
-        return self._kept(forget6(child, vertex))
+        return forget6(child, vertex)
 
     def join(self, left, right):
-        return self._kept(join6(left, right, cost_cap=self.cost_cap))
+        table = join6(left, right, cost_cap=self.cost_cap)
+        return table if self.cost_cap is None else _undominated(table, window=True)
 
     def min_cost(self, table: SixTable) -> int | None:
-        return min((min(ledger) for ledger in table.rows.values()), default=None)
+        return _low(_cheapest(table))
 
 
 def run6(

@@ -453,6 +453,42 @@ def test_every_traced_name_is_a_callable():
         )
 
 
+def test_six_state_span_counts_read_run6_tables(monkeypatch):
+    # the benchmark counts rows and ledger entries of every six-state bag
+    # table through SixTable.rows; run its counting functions on the
+    # tables of a capped and an uncapped walk
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/layers.py"))
+    counts = {
+        span: fn for span, fn in layers["COUNTS"].items() if span.startswith("mds6.")
+    }
+    assert set(counts) == {"mds6.leaf", "mds6.introduce", "mds6.forget", "mds6.join"}
+    calls = []
+    for span in counts:
+        module, attribute = layers["SPANS"][span]
+        target = importlib.import_module(module)
+
+        def recorded(*args, _span=span, _fn=getattr(target, attribute), **kwargs):
+            result = _fn(*args, **kwargs)
+            calls.append((_span, args, result))
+            return result
+
+        monkeypatch.setattr(target, attribute, recorded)
+    from mixdom.mds6 import run6
+    from mixdom.oracle import greedy_upper_bound
+
+    g = parse_gr(fixture_text("g1.gr"))
+    ntd = make_very_nice(min_fill_decompose(g))
+    for cap in (None, greedy_upper_bound(g)):
+        run6(g, ntd, cost_cap=cap)
+    assert {span for span, _, _ in calls} == set(counts)
+    for span, args, result in calls:
+        counted = counts[span](args, result)
+        assert counted["rows_out"] == len(dict(result.rows.items())), span
+        assert counted["ledger_entries"] == sum(map(len, result.rows.values())), span
+        if span == "mds6.join":
+            assert counted["rows_in"] == len(args[0].rows) + len(args[1].rows)
+
+
 def test_every_traced_span_fires(capsys, monkeypatch):
     # a scheme that bound its bag operations before the benchmark patched
     # them (say as class attributes) would bypass the wrappers and leave

@@ -15,7 +15,13 @@ from conftest import (
 from mixdom.dp import run_dp
 from mixdom.graph import Graph
 from mixdom.mds6 import (
+    DOMINATED,
+    MARKED,
+    MEMBER,
+    WAITING,
     SixTable,
+    _decode,
+    _encode,
     _supremum,
     _undominated,
     forget6,
@@ -361,33 +367,39 @@ def test_zeta6_and_moebius6_stay_exact_on_huge_and_negative_counts():
     }
 
 
+def _pruned(rows, window=False):
+    """_undominated on a table built by hand from rows."""
+    k = len(next(iter(rows), ()))
+    return _undominated(SixTable(tuple(range(k)), rows), window).rows
+
+
 def test_undominated_drops_rows_a_better_row_matches_at_no_higher_cost():
-    assert _undominated({(3,): {1: 1}, (4,): {1: 2}}) == {(3,): {1: 1}}
-    assert _undominated({(4,): {0: 1}, (5,): {0: 3, 1: 1}}) == {(4,): {0: 1}}
+    assert _pruned({(3,): {1: 1}, (4,): {1: 2}}) == {(3,): {1: 1}}
+    assert _pruned({(4,): {0: 1}, (5,): {0: 3, 1: 1}}) == {(4,): {0: 1}}
     # a dearer better row replaces nothing
-    assert _undominated({(3,): {2: 1}, (4,): {1: 1}}) == {(3,): {2: 1}, (4,): {1: 1}}
+    assert _pruned({(3,): {2: 1}, (4,): {1: 1}}) == {(3,): {2: 1}, (4,): {1: 1}}
     # a cheaper 6 does not replace a 4, though 4 lies below 6 in the
     # lattice of _supremum: the 6 owns an undominated edge
-    assert _undominated({(6,): {1: 1}, (4,): {2: 1}}) == {(6,): {1: 1}, (4,): {2: 1}}
+    assert _pruned({(6,): {1: 1}, (4,): {2: 1}}) == {(6,): {1: 1}, (4,): {2: 1}}
     # 5 and 6 are incomparable, and each is better than 7
-    assert _undominated({(5,): {0: 1}, (6,): {0: 1}, (7,): {0: 1}}) == {
+    assert _pruned({(5,): {0: 1}, (6,): {0: 1}, (7,): {0: 1}}) == {
         (5,): {0: 1},
         (6,): {0: 1},
     }
     # a member slot is never replaced, not even by a cheaper 3; the other
     # slots still compare
-    assert _undominated({(1,): {2: 1}, (3,): {0: 1}}) == {(1,): {2: 1}, (3,): {0: 1}}
-    assert _undominated({(1, 5): {1: 1}, (1, 4): {1: 1}, (3, 4): {0: 1}}) == {
+    assert _pruned({(1,): {2: 1}, (3,): {0: 1}}) == {(1,): {2: 1}, (3,): {0: 1}}
+    assert _pruned({(1, 5): {1: 1}, (1, 4): {1: 1}, (3, 4): {0: 1}}) == {
         (1, 4): {1: 1},
         (3, 4): {0: 1},
     }
     # a ledger keeps its cheapest cost only; the window cuts rows costing
     # more than the table's minimum plus the number of slots
-    assert _undominated({(3,): {1: 2, 2: 5}}) == {(3,): {1: 2}}
+    assert _pruned({(3,): {1: 2, 2: 5}}) == {(3,): {1: 2}}
     rows = {(1, 1): {3: 1}, (5, 5): {0: 1}}
-    assert _undominated(rows) == rows
-    assert _undominated(rows, window=True) == {(5, 5): {0: 1}}
-    assert _undominated({}, window=True) == {}
+    assert _pruned(rows) == rows
+    assert _pruned(rows, window=True) == {(5, 5): {0: 1}}
+    assert _pruned({}, window=True) == {}
 
 
 def test_dominated_rows_go_by_goodness_not_by_the_merge_lattice():
@@ -463,3 +475,101 @@ def test_capped_run6_agrees_with_full_tables_and_nine_states_on_partial_ktrees()
         for table in full.tables:
             dropped += len(set(_one_slot_dominated(table.rows)))
     assert dropped
+
+
+def _cut_to_window_and_undominated(table, cap):
+    """A table cut as the capped walk cuts it, written apart from the
+    engine: costs above cap go, then rows above the cost window (the
+    cheapest cost plus the bag size), then every ledger entry above its
+    row's cheapest, then every row a one-slot-better row matches."""
+    rows = {}
+    for key, ledger in table.rows.items():
+        kept = {cost: count for cost, count in ledger.items() if cost <= cap}
+        if kept:
+            rows[key] = kept
+    if rows:
+        limit = min(min(ledger) for ledger in rows.values()) + len(table.vertices)
+        rows = {key: ledger for key, ledger in rows.items() if min(ledger) <= limit}
+    rows = {key: {min(ledger): ledger[min(ledger)]} for key, ledger in rows.items()}
+    dominated = set(_one_slot_dominated(rows))
+    return {key: ledger for key, ledger in rows.items() if key not in dominated}
+
+
+def _check_capped_walk(g, ntd, cap):
+    """Every table of the capped walk is the uncapped operation on its
+    capped children, cut by _cut_to_window_and_undominated; returns the
+    number of bags checked."""
+    res = run6(g, ntd, collect_tables=True, cost_cap=cap)
+    tau = postorder_traversal(ntd)
+    position = {idx: pos for pos, idx in enumerate(tau)}
+    for idx in tau:
+        node = ntd.nodes[idx]
+        # the children as full tables built by hand, so the operation
+        # below runs uncapped on exactly their rows
+        kids = [res.tables[position[c]] for c in node.children]
+        kids = [SixTable(t.vertices, dict(t.rows.items())) for t in kids]
+        if node.kind == "leaf":
+            full = leaf6(g, node.bag)
+        elif node.kind == "introduce":
+            full = introduce6(g, kids[0], node.vertex)
+        elif node.kind == "forget":
+            full = forget6(kids[0], node.vertex)
+        else:
+            full = join6(*kids)
+        table = res.tables[position[idx]]
+        assert table.vertices == full.vertices
+        assert table.rows == _cut_to_window_and_undominated(full, cap), (g.edges, idx)
+    return len(tau)
+
+
+def test_capped_tables_are_the_cut_uncapped_operations_on_the_c06_suite():
+    from test_acceptance import equivalence_suite
+
+    bags = 0
+    for g in equivalence_suite():
+        ntd = make_very_nice(min_fill_decompose(g))
+        bags += _check_capped_walk(g, ntd, greedy_upper_bound(g))
+    assert bags > 10000
+
+
+def test_capped_tables_are_the_cut_uncapped_operations_on_partial_ktrees():
+    # the graphs of the partial k-tree agreement test above, at the
+    # min-fill root, plus one of them rooted at a random bag
+    rng = random.Random(59)
+    cases = [partial_ktree(rng, 30, 3, keep=0.6) for _ in range(3)]
+    cases += [partial_ktree(rng, 26, 4, keep=0.6) for _ in range(2)]
+    for g in cases:
+        ntd = make_very_nice(min_fill_decompose(g))
+        _check_capped_walk(g, ntd, greedy_upper_bound(g))
+    g = cases[3]
+    td = min_fill_decompose(g)
+    root = random.Random(61).randrange(len(td.bags))
+    assert root != td.root
+    _check_capped_walk(g, make_very_nice(td, root=root), greedy_upper_bound(g))
+
+
+def test_flag_words_and_state_tuples_round_trip():
+    # each state is one vertex byte of dp.py's flags, and a hand-built
+    # table reads back exactly the rows it was given
+    flags = {1: MEMBER | DOMINATED, 3: MARKED | DOMINATED, 4: DOMINATED,
+             5: 0, 6: DOMINATED | WAITING, 7: WAITING}
+    for state, byte in flags.items():
+        assert _encode((state,), 1) == byte
+        assert _decode(byte, 1) == (state,)
+    states = sorted(flags)
+    rows = {key: {sum(key): 1} for key in product(states, repeat=3)}
+    table = SixTable((2, 5, 9), rows)
+    assert len(table.words) == 6 ** 3
+    assert table.rows == rows
+    assert dict(table.rows.items()) == rows
+    for key in rows:
+        word = _encode(key, 3)
+        assert _decode(word, 3) == key
+        assert [word >> 8 * i & 0xFF for i in range(3)] == [flags[s] for s in key]
+        assert table.rows[key] == rows[key]
+    # a state 5 is a zero byte, so a short key must not find a longer row
+    assert (1, 5) not in table.rows and (1, 5, 5, 5) not in table.rows
+    for bad in [(2, 4, 4), (0, 5, 5), (1, 3)]:
+        assert bad not in table.rows
+        with pytest.raises(ValueError):
+            SixTable((2, 5, 9), {bad: {0: 1}})
