@@ -45,6 +45,13 @@ vertex and its new edges; a join groups the rows of both children by
 their member flags.  A pair costs both costs minus the elements both
 sides select.
 
+Dominated rows.  Under a cost cap and without enumeration, a forget also
+drops every row that a row one vertex better matches at no higher cost,
+in the same pass as its cut to the cost window of walk.py.  flags.py
+holds the flag constants, the goodness order, the pass shared with
+mds6.py and the argument that the drop changes no optimum.  Introduces
+and joins do not run the pass: it cost more there than it saved.
+
 This module holds only the engine and does not read the ⋆/∗ tables.  The
 paper's table-driven operations, introduce_combine and join_combine, live
 in reference.py as the specification the tests check the engine against.
@@ -58,11 +65,19 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
+from .flags import (
+    DOMINATED,
+    MARKED,
+    MEMBER,
+    WAITING,
+    bag_steps,
+    byte_ones,
+    undominated,
+)
 from .graph import Graph, is_mixed_dominating_set
 from .treedec import NiceTreeDecomposition
 from .walk import walk
 
-MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
 # state 0 (slot unused) only ever appears in rows built by hand
 UNUSED = 16
 
@@ -92,11 +107,6 @@ VERTEX_STATES = {
     WAITING: (9, 9),
 }
 EDGE_STATES = {UNUSED: 0, MEMBER | DOMINATED: 1, DOMINATED: 2, 0: 3}
-
-
-def byte_ones(count: int) -> int:
-    """A word with bit 0 set in each of its first count bytes."""
-    return int.from_bytes(b"\x01" * count, "little")
 
 
 class BagLayout:
@@ -192,7 +202,9 @@ class StateTable:
     merges skip over-cap pairs.  Capping at the size of any known mixed
     dominating set is lossless for the optimum and for enumeration while
     keeping tables small on dense bags.  Under a cap the merges also stop
-    at the cost window of walk.py, whose soundness argument is there.
+    at the cost window of walk.py, whose soundness argument is there, and
+    when enumeration is off the walk's forgets drop the dominated rows
+    (module docstring, "Dominated rows").
     """
 
     def __init__(self, layout: BagLayout, track_witnesses: bool):
@@ -560,9 +572,10 @@ class DPResult(NamedTuple):
 class _NineState:
     """The nine-state program's half of the bag walk, for one graph and one
     cost cap.  The operations stop at the cap and the window of walk.py
-    while they build, except forget, which cuts its table afterwards.  Bag
-    operations are looked up as module globals on every call, so wrappers
-    installed on this module from outside see each call."""
+    while they build, except forget, which cuts its table afterwards; when
+    enumeration is off, that cut also drops the dominated rows (flags.py).
+    Bag operations are looked up as module globals on every call, so
+    wrappers installed on this module from outside see each call."""
 
     def __init__(self, g: Graph, track_witnesses: bool, cost_cap: int | None):
         self.g = g
@@ -578,10 +591,17 @@ class _NineState:
     def forget(self, child, vertex):
         table = forget_reduce(self.g, child, vertex)
         words = table.words
-        if self.cost_cap is not None and words:
-            limit = self.min_cost(table) + len(table.layout.vertices)
+        if self.cost_cap is None or not words:
+            return table
+        layout = table.layout
+        k = len(layout.vertices)
+        if self.track_witnesses:
+            limit = self.min_cost(table) + k
             for word in [word for word, entry in words.items() if entry[0] > limit]:
                 del words[word]
+        else:
+            steps = bag_steps(k, layout.edge_endpoints)
+            table.words = undominated(words, steps, window=k)
         return table
 
     def join(self, left, right):

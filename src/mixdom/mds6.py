@@ -25,9 +25,9 @@ join, below).
 
 Flag words.  Inside the engine a row is keyed by an integer with one
 byte per bag vertex, slot i in bits 8i..8i+7 (vertices ascending), each
-byte holding dp.py's vertex flags (its module docstring): MEMBER, MARKED,
-DOMINATED and WAITING, where WAITING stands for owning an undominated
-edge.  So 1 is M+D, 3 is K+D, 4 is D, 5 is no flag, 6 is D+W and 7 is W.
+byte holding the vertex flags of flags.py: MEMBER, MARKED, DOMINATED and
+WAITING, where WAITING stands for owning an undominated edge.  So 1 is
+M+D, 3 is K+D, 4 is D, 5 is no flag, 6 is D+W and 7 is W.
 SixTable.rows decodes the words to state tuples on each access, and
 SixTable(vertices, rows) encodes rows built by hand.  Each operation
 works on the words:
@@ -41,45 +41,20 @@ works on the words:
     and bag shape, and every row with that pattern reuses them.  A
     forget keeps a row when the forgotten byte has DOMINATED set and
     WAITING clear, which are the states 1, 3 and 4, and shifts the byte
-    out.  A join ORs the words of two rows (Pair join, below).  The
-    dominated-row pass below steps one byte up the goodness order
-    (_GOODNESS).
+    out.  A join ORs the words of two rows (Pair join, below).
 
 Dominated rows.  Under a cost cap, which also turns on the cost window
 of walk.py, no table keeps a row that a better row matches at no higher
-cost.  Order a slot's states by how good they are for what is still to
-come: 1 stands apart, comparable only to itself, since membership must
-agree; among the others, dominated beats undominated and owing no edge
-beats owing one, with 3 on top.  So 3 is above 4, 5, 6 and 7; 4 is above
-5 and 6; 5 and 6 are each above 7; 5 and 6 are incomparable.  A row R'
-is at least as good as a row R when it is in every slot.  This is not
-the lattice of _supremum, which puts 4 below 6: a 6 owns an undominated
-edge that a 4 does not, and a forget drops the 6 but keeps the 4.
-
-    Each operation is monotone in this order.  An introduce branch of R
-    (v's membership, the new edges selected, an owner for each new edge
-    left open) maps to the branch of R' with the same choices, owners
-    only for the edges R' leaves open, which are among R's; at the same
-    cost its result is at least as good: a selected edge turns both
-    sides to 3 or keeps 1, selecting v turns 5 into 4 and 7 into 6, an
-    owner at u turns 4 into 6 and 5 into 7, and each of these maps keeps
-    the order, while v owns an edge in R' only if it does in R.  A
-    forget's survivors {1, 3, 4} form an up-set, so R' survives whenever
-    R does.  A join's supremum ORs the dominated and the owing flags
-    slot by slot and 3 absorbs, so R' with any partner T is at least as
-    good as R with T, at the same cost (both share T's 1 slots).  By
-    induction every completion of R is matched by a completion of R' at
-    no higher cost, so dropping R changes no optimum.  The entries of a
-    ledger above its own cheapest cost go by the same argument, R' = R.
-
-The pass (_undominated) drops R when a row one slot better, any strictly
-better state in that slot, has a cheapest cost at most R's; it reads the
-table as built, so chains of dropped rows end at a kept row, which
-dominates each row of its chain: every step is strictly up the order.
-The table's minimum is kept, and with it the window of walk.py.  Ledger
-counts stay exact counts of the branch and pair outcomes of the entries
-that are kept, so transform_join6's inversion stays exact; they were
-never a number of sets, and are not now.
+cost.  The goodness order of flags.py, in states: 1 stands apart; 3 is
+above 4, 5, 6 and 7; 4 is above 5 and 6; 5 and 6 are each above 7; 5
+and 6 are incomparable.  This is not the lattice of _supremum, which puts
+4 below 6: a 6 owns an undominated edge that a 4 does not, and a forget
+drops the 6 but keeps the 4.  flags.py holds the pass (_undominated is a
+thin wrapper over it) and the argument that dropping these rows, and the
+entries of a ledger above its own cheapest cost, changes no optimum.
+Ledger counts stay exact counts of the branch and pair outcomes of the
+entries that are kept, so transform_join6's inversion stays exact; they
+were never a number of sets, and are not now.
 
 Capped tables.  So under a cost cap a table holds one [cost, count] per
 row: the cheapest cost of the row and the number of branch or pair
@@ -144,6 +119,15 @@ from itertools import chain
 from math import comb
 from typing import NamedTuple
 
+from .flags import (
+    DOMINATED,
+    MARKED,
+    MEMBER,
+    WAITING,
+    bag_steps,
+    byte_ones,
+    undominated,
+)
 from .graph import Graph
 from .treedec import NiceTreeDecomposition
 from .walk import walk
@@ -155,11 +139,10 @@ IN_SOLUTION = 1
 EDGE_MARK = 3
 STATES = (1, 3, 4, 5, 6, 7)
 
-# A state as a vertex byte of dp.py's flag words (module docstring, "Flag
-# words"): 6 and 7 own an undominated edge, which dp.py's WAITING flag
-# stands for.  _TO_FLAGS and _FROM_FLAGS are bytes.translate tables
-# between states and bytes, for rows read or built as state tuples.
-MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
+# A state as a vertex byte of the flag words (module docstring, "Flag
+# words"): 6 and 7 own an undominated edge, which the WAITING flag stands
+# for.  _TO_FLAGS and _FROM_FLAGS are bytes.translate tables between
+# states and bytes, for rows read or built as state tuples.
 _FLAGS = {
     1: MEMBER | DOMINATED,
     3: MARKED | DOMINATED,
@@ -593,7 +576,7 @@ def join6(
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
     k = len(a.vertices)
-    ones = int.from_bytes(b"\x01" * k, "little")
+    ones = byte_ones(k)
     groups_a = _by_members(a.words, ones * MEMBER)
     groups_b = _by_members(b.words, ones * MEMBER)
     pairs = sum(len(g) * len(groups_b.get(m, ())) for m, g in groups_a.items())
@@ -717,67 +700,13 @@ def transform_join6(
     return SixTable(a.vertices, rows)
 
 
-# The bytes strictly better than each non-member byte in the goodness
-# order of the module docstring: 3 above 4, 5, 6 and 7; 4 above 5, 6 and
-# 7; 5 and 6 above 7.  Members (1) and 3 have nothing above them.
-_GOODNESS = {
-    DOMINATED: (MARKED | DOMINATED,),
-    0: (MARKED | DOMINATED, DOMINATED),
-    DOMINATED | WAITING: (MARKED | DOMINATED, DOMINATED),
-    WAITING: (MARKED | DOMINATED, DOMINATED, 0, DOMINATED | WAITING),
-}
-_ABSENT = (float("inf"),)
-
-
-class _Steps(dict):
-    """Per flag word of a k-vertex bag, the amounts that turn it into the
-    words one slot better, each built the first time it is looked up."""
-
-    def __init__(self, k: int):
-        super().__init__()
-        self.k = k
-        # per slot and byte, the amounts that step that byte up
-        self.slots = tuple(
-            tuple(
-                tuple(better - b << 8 * i for better in _GOODNESS.get(b, ()))
-                for b in range(16)
-            )
-            for i in range(k)
-        )
-
-    def __missing__(self, word: int) -> tuple[int, ...]:
-        bytes_ = word.to_bytes(self.k, "little")
-        found = self[word] = tuple(
-            chain.from_iterable(map(tuple.__getitem__, self.slots, bytes_))
-        )
-        return found
-
-
-_steps = lru_cache(maxsize=64)(_Steps)
-
-
 def _undominated(table: SixTable, window: bool) -> SixTable:
-    """The capped table of the rows that no row one slot better matches at
+    """The capped table of the rows that no row one vertex better matches at
     no higher cheapest cost, each with its cheapest cost and count; with
     window, also without the rows above the cost window of walk.py."""
-    rows = _cheapest(table)
-    if len(rows) < 2:
-        return _table(table.vertices, rows, True)
     k = len(table.vertices)
-    limit = _low(rows) + k if window else float("inf")
-    steps = _steps(k)
-    get = rows.get
-    kept = {}
-    for word, entry in rows.items():
-        cost = entry[0]
-        if cost > limit:
-            continue
-        for step in steps[word]:
-            if get(word + step, _ABSENT)[0] <= cost:
-                break
-        else:
-            kept[word] = entry
-    return _table(table.vertices, kept, True)
+    rows = undominated(_cheapest(table), bag_steps(k), k if window else None)
+    return _table(table.vertices, rows, True)
 
 
 class _SixState:

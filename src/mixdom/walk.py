@@ -39,9 +39,12 @@ programs' introduces stop at the window while they build; so does the
 nine-state join, whose minimum is known before any pair is formed.  A
 forget drops rows and so may raise the minimum: the nine-state forget
 cuts the table forget_reduce built, and the six-state forget and join
-cut theirs in the pass that also drops dominated rows (mds6.py).  The
-root bag's forgets are the same operation, so they are windowed too;
-the argument holds at every bag, so gamma and the minimum sets do not
+cut theirs.  Each cut is the dominated-row pass of flags.py, given the
+bag size, except the nine-state cut while enumerating, which keeps the
+dominated rows and only applies the window.  Every program keeps its
+table's minimum in that pass, so the window stays exact.  The root
+bag's forgets are the same operation, so they are windowed too; the
+argument holds at every bag, so gamma and the minimum sets do not
 change.
 
 Without a cost_cap nothing is cut, so the tables are the full ones the

@@ -419,7 +419,7 @@ def loaded_modules(*lines: str) -> set[str]:
 def test_importing_the_cli_loads_no_engine():
     modules = loaded_modules("import mixdom.cli")
     assert "mixdom.cli" in modules
-    assert not modules & {"mixdom.dp", "mixdom.mds6", "dataclasses"}
+    assert not modules & {"mixdom.dp", "mixdom.mds6", "mixdom.flags", "dataclasses"}
 
 
 def test_solve_does_not_import_the_reference_joins():
@@ -437,6 +437,7 @@ def test_solve_does_not_import_the_reference_joins():
         assert "mixdom.reference" not in modules
         assert "mixdom.tables" not in modules
         assert engine in modules and other not in modules, extra
+        assert "mixdom.flags" in modules, extra
         assert "dataclasses" not in modules
         assert "random" not in modules
 

@@ -15,7 +15,9 @@ from mixdom.dp import (
     row_witnesses,
     run_dp,
 )
+from mixdom.flags import bag_steps, undominated
 from mixdom.graph import Graph, parse_gr
+from mixdom.mds6 import run6
 from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.reference import (
     _member_mask,
@@ -319,8 +321,9 @@ def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
     kernel: an introduce pairs the child with the bag-local rows that
     select only the new vertex and its new edges, a join pairs the rows
     that select the same bag elements, and every bag is cut to the window
-    of walk.py after it is built.  Returns the tables, gamma and the
-    minimum sets."""
+    of walk.py after it is built.  Without witnesses a forget's table also
+    loses its dominated rows through the pass of flags.py, as the engine's
+    does.  Returns the tables, gamma and the minimum sets."""
     tables: dict[int, StateTable] = {}
     out = []
     for idx in postorder_traversal(ntd):
@@ -343,6 +346,10 @@ def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
             t = introduce_combine(g, tables[node.children[0]], local, cap)
         elif node.kind == "forget":
             t = forget_reduce(g, tables[node.children[0]], node.vertex)
+            if not track:
+                k = len(t.layout.vertices)
+                steps = bag_steps(k, t.layout.edge_endpoints)
+                t.words = undominated(t.words, steps, window=k)
         else:
             a, b = (tables[c] for c in node.children)
             t = StateTable(a.layout, track)
@@ -489,6 +496,106 @@ def test_cost_cap_handles_dense_graphs_the_full_tables_cannot():
     expected = brute_force(dense, enumerate_all=True)
     assert res.gamma == expected.gamma
     assert res.min_sets == expected.min_sets
+
+
+def test_dominated_rows_go_by_goodness_in_the_nine_state_walk():
+    # without enumeration a capped forget drops the rows a one-vertex-better
+    # row matches at no higher cost; every root of the decomposition meets
+    # other rows at each bag.  On the first two graphs a dominated waiting
+    # vertex ranked above a free one loses the optimum
+    rng = random.Random(53)
+    cases = [
+        Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (4, 5)]),
+        Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)]),
+    ]
+    cases += [
+        gnp_graph(rng, rng.randint(4, 7), rng.choice((0.3, 0.5, 0.7))) for _ in range(60)
+    ]
+    runs = 0
+    for g in cases:
+        gamma = brute_force(g).gamma
+        td = min_fill_decompose(g)
+        for root in range(len(td.bags)):
+            ntd = make_very_nice(td, root=root)
+            for cap in (greedy_upper_bound(g), gamma):
+                assert run_dp(g, ntd, cost_cap=cap).gamma == gamma, (g.edges, root)
+                runs += 1
+    assert runs > 400
+
+
+# (better, worse) vertex flag bytes of the goodness order, written out
+# apart from the engine's tables
+_K, _D, _W = 2, 4, 8
+_BETTER_WORSE = {
+    (_K | _D, _D), (_K | _D, 0), (_K | _D, _D | _W), (_K | _D, _W),
+    (_D, 0), (_D, _D | _W), (_D, _W), (0, _W), (_D | _W, _W),
+}
+
+
+def _one_vertex_dominated(layout: BagLayout, words: dict):
+    """The words that a word one vertex better among them matches at no
+    higher cost.  A vertex that becomes marked also dominates its edges."""
+    k = len(layout.vertices)
+    for word, entry in words.items():
+        for p in range(k):
+            byte = word >> 8 * p & 0xFF
+            for better, worse in _BETTER_WORSE:
+                if byte != worse:
+                    continue
+                other = word + (better - worse << 8 * p)
+                if better & _K:
+                    for j, ends in enumerate(layout.edge_endpoints):
+                        if p in ends:
+                            other |= _D << 8 * (k + j)
+                found = words.get(other)
+                if found and found[0] <= entry[0]:
+                    yield word
+
+
+def _cut_forget(g: Graph, child: StateTable, vertex: int) -> dict:
+    """A capped forget written apart from the engine's pass: forget_reduce,
+    then the rows above the cost window go, then every row a
+    one-vertex-better row matches; as {word: cost}."""
+    table = forget_reduce(g, child, vertex)
+    layout, words = table.layout, table.words
+    if words:
+        limit = min(entry[0] for entry in words.values()) + len(layout.vertices)
+        words = {w: entry for w, entry in words.items() if entry[0] <= limit}
+    dominated = set(_one_vertex_dominated(layout, words))
+    return {w: entry[0] for w, entry in words.items() if w not in dominated}
+
+
+def test_capped_walk_agrees_with_full_tables_and_six_states_on_partial_ktrees():
+    # too big for brute_force: the capped walk, the uncapped walk and the
+    # six-state program agree; every capped forget table is its child's
+    # forget cut by _cut_forget, unless the walk enumerates, which keeps
+    # dominated rows
+    rng = random.Random(73)
+    cases = [partial_ktree(rng, rng.randint(20, 30), 3, keep=0.6) for _ in range(3)]
+    cases += [partial_ktree(rng, rng.randint(20, 24), 4, keep=0.6) for _ in range(2)]
+    kept = 0
+    for g in cases:
+        ntd = make_very_nice(min_fill_decompose(g))
+        tau = postorder_traversal(ntd)
+        position = {idx: pos for pos, idx in enumerate(tau)}
+        cap = greedy_upper_bound(g)
+        full = run_dp(g, ntd)
+        capped = run_dp(g, ntd, collect_tables=True, cost_cap=cap)
+        listed = run_dp(g, ntd, enumerate_sets=True, collect_tables=True, cost_cap=cap)
+        assert capped.gamma == full.gamma == run6(g, ntd).gamma, write_case(g)
+        assert listed.gamma == full.gamma, write_case(g)
+        for idx in tau:
+            node = ntd.nodes[idx]
+            if node.kind != "forget":
+                continue
+            child = capped.tables[position[node.children[0]]]
+            table = capped.tables[position[idx]]
+            assert {w: e[0] for w, e in table.words.items()} == _cut_forget(
+                g, child, node.vertex
+            ), (write_case(g), idx)
+            table = listed.tables[position[idx]]
+            kept += len(set(_one_vertex_dominated(table.layout, table.words)))
+    assert kept
 
 
 def test_cost_cap_below_optimum_is_an_error():
