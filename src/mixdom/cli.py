@@ -109,27 +109,45 @@ def _very_nice(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
         raise CliError(2, str(exc)) from exc
 
 
-def _element_lists(g: Graph, mask: int) -> dict:
-    """1-based vertices and edge endpoint pairs of a mixed set, read off its
-    set bits only, lowest first."""
-    vertices = []
-    edges = []
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        if i < g.vertex_count:
-            vertices.append(i + 1)
-        else:
-            edges.append([x + 1 for x in g.endpoints(i - g.vertex_count)])
-        mask ^= low
-    edges.sort()
-    return {"vertices": vertices, "edges": edges}
+class _Encoded(str):
+    """JSON text that _report writes as it is."""
 
 
-def _family(g: Graph, masks) -> list[dict]:
-    out = [_element_lists(g, mask) for mask in masks]
-    out.sort(key=lambda s: (s["vertices"], s["edges"]))
+def _ones(bits: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
+
+
+def _family(g: Graph, masks) -> _Encoded:
+    """The mixed sets as a JSON list, one set per line, each
+    {"vertices": [...], "edges": [[u, v], ...]} with 1-based vertices and
+    edge endpoints, the sets sorted by (vertices, edges).
+
+    Edge ids ascend with their endpoint pairs (Graph), so each set's
+    vertex and edge ids read off its bits lowest first are already in
+    order, and sorting sets by their id lists sorts them by their element
+    lists.  Each element's text is rendered once for the graph."""
+    n = g.vertex_count
+    vertex_mask = (1 << n) - 1
+    sets = sorted((_ones(mask & vertex_mask), _ones(mask >> n)) for mask in masks)
+    if not sets:
+        return _Encoded("[]")
+    vertex_text = [str(v + 1) for v in range(n)]
+    edge_text = [f"[{u + 1}, {v + 1}]" for u, v in g.edges]
+    items = [
+        '{"vertices": ['
+        + ", ".join([vertex_text[v] for v in vertices])
+        + '], "edges": ['
+        + ", ".join([edge_text[e] for e in edges])
+        + "]}"
+        for vertices, edges in sets
+    ]
+    return _Encoded("[\n    " + ",\n    ".join(items) + "\n  ]")
 
 
 def _emit(args, text: str) -> None:
@@ -140,13 +158,17 @@ def _emit(args, text: str) -> None:
 
 
 def _report(args, payload: dict) -> None:
-    """One top-level field per line, and one item per line in a list such
-    as the minimum sets.  Each piece goes through json.dumps without
-    indent, which runs the C encoder; an indented dump of a report with
-    thousands of sets took several times as long."""
+    """One top-level field per line, and one item per line in a list (a
+    bench run, a minimum set).  A value that is already JSON text
+    (_Encoded, as _family renders the minimum sets) is written as it is.
+    Every other piece goes through json.dumps without indent, which runs
+    the C encoder; an indented dump of a report with thousands of sets
+    took several times as long."""
     fields = []
     for key, value in payload.items():
-        if isinstance(value, list) and value:
+        if isinstance(value, _Encoded):
+            text = value
+        elif isinstance(value, list) and value:
             items = ",\n".join("    " + json.dumps(item) for item in value)
             text = "[\n" + items + "\n  ]"
         else:

@@ -185,10 +185,11 @@ class StateTable:
     when enumeration is off, else a list with one link per way the row
     reaches its cost.  A link is a tuple of parts, each a global element
     bitmask (a bag-local selection) or the [cost, links] entry of a row it
-    was built from: (child row, selection) at an introduce, (left row,
-    right row) at a join, (child row,) at a forget.  The row's partial
-    solutions are the union, over its links, of the ORs of one solution
-    per part; row_witnesses expands them.
+    was built from: (selection,) in a leaf or bag-local table, (child row,
+    selection) at an introduce, (left row, right row) at a join, (child
+    row,) at a forget.  The row's partial solutions are the union, over
+    its links, of the ORs of one solution per part; row_witnesses expands
+    them.
 
     Words and tuples are one to one, so keying by words deduplicates
     exactly as keying by tuples did: a row's states pin down which bag
@@ -621,6 +622,12 @@ def row_witnesses(entries) -> set[int]:
     links share it, and an entry's set is released once every link that
     uses it has been expanded.  From the optimal root rows every reachable
     row extends only to minimum sets, so the work follows the output.
+
+    Each link is expanded by its shape (StateTable): a selection alone is
+    one solution, a forget's child row unions its set in, an introduce
+    ORs its selection into each of the child row's solutions (or, when it
+    selects nothing, unions them in), and a join gives every OR of one
+    solution of each side.
     """
     # post-order over the entries reachable through links, and how many
     # link parts (plus the callers' own) are left to read each entry's set
@@ -651,13 +658,22 @@ def row_witnesses(entries) -> set[int]:
     for entry in order:
         out: set[int] = set()
         for link in entry[1]:
-            acc = {0}
-            for part in link:
-                if isinstance(part, int):
-                    acc = {a | part for a in acc}
+            a = link[0]
+            if len(link) == 1:
+                if isinstance(a, int):
+                    out.add(a)
                 else:
-                    acc = {a | b for a in acc for b in solutions[id(part)]}
-            out |= acc
+                    out |= solutions[id(a)]
+                continue
+            b = link[1]
+            left = solutions[id(a)]
+            if not isinstance(b, int):
+                right = solutions[id(b)]
+                out.update([x | y for x in left for y in right])
+            elif b:
+                out.update([x | b for x in left])
+            else:
+                out |= left
         solutions[id(entry)] = out
         for link in entry[1]:
             for part in link:

@@ -16,6 +16,7 @@ from conftest import FIXTURES, fixture_text, path_graph
 import mixdom
 from mixdom.cli import main
 from mixdom.graph import Graph, is_mixed_dominating_set, parse_gr, write_gr
+from mixdom.oracle import brute_force
 from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, validate_td
 
 G1 = str(FIXTURES / "g1.gr")
@@ -178,6 +179,85 @@ def test_empty_graph_solves_to_zero(capsys, tmp_path):
     report = run_json(capsys, "solve", "--graph", str(empty), "--enumerate")
     assert report["gamma"] == 0
     assert report["minimum_sets"] == [{"vertices": [], "edges": []}]
+
+
+def grid_text(rows: int, cols: int) -> str:
+    n = rows * cols
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range(n - cols)]
+    return write_gr(Graph(n, edges))
+
+
+REPORT_GRAPHS = {
+    "g1": fixture_text("g1.gr"),
+    "grid-3x4": grid_text(3, 4),
+    # vertices 4 and 8 isolated; edge lines out of order, endpoints reversed
+    "isolated-unordered": "p tw 8 5\n7 6\n3 1\n6 5\n2 1\n3 2\n",
+    "empty": "p tw 0 0\n",
+}
+
+
+def per_set_json_dumps(g: Graph, masks) -> str:
+    """The minimum sets as one json.dumps per set, sorted by (vertices,
+    edges), each edge an endpoint pair and each set's edges sorted."""
+    n = g.vertex_count
+    sets = []
+    for mask in masks:
+        vertices = [v + 1 for v in range(n) if mask >> v & 1]
+        edges = sorted(
+            [u + 1, v + 1] for j, (u, v) in enumerate(g.edges) if mask >> n + j & 1
+        )
+        sets.append({"vertices": vertices, "edges": edges})
+    sets.sort(key=lambda s: (s["vertices"], s["edges"]))
+    return "[\n" + ",\n".join("    " + json.dumps(s) for s in sets) + "\n  ]"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("name", list(REPORT_GRAPHS))
+def test_minimum_sets_read_as_one_json_dumps_per_set(capsys, tmp_path, command, name):
+    path = tmp_path / f"{name}.gr"
+    path.write_text(REPORT_GRAPHS[name])
+    rc, out, err = run_cli(capsys, command, "--graph", str(path), "--enumerate")
+    assert rc == 0, err
+    g = parse_gr(REPORT_GRAPHS[name])
+    masks = brute_force(g, enumerate_all=True).min_sets
+    assert json.loads(out)["minimum_set_count"] == len(masks)
+    sets = out.split('\n  "minimum_sets": ', 1)[1].split(',\n  "seconds": ', 1)[0]
+    assert sets == per_set_json_dumps(g, masks)
+
+
+GOLDEN_REPORT = """\
+{
+  "schema": "mixdom-report/1",
+  "command": "solve",
+  "algorithm": "amds",
+  "graph": {"vertices": 5, "edges": 3},
+  "width": 1,
+  "gamma": 3,
+  "minimum_set_count": 8,
+  "minimum_sets": [
+    {"vertices": [1, 3, 5], "edges": []},
+    {"vertices": [1, 5], "edges": [[3, 4]]},
+    {"vertices": [2, 3, 5], "edges": []},
+    {"vertices": [2, 4, 5], "edges": []},
+    {"vertices": [2, 5], "edges": [[3, 4]]},
+    {"vertices": [3, 5], "edges": [[1, 2]]},
+    {"vertices": [4, 5], "edges": [[1, 2]]},
+    {"vertices": [5], "edges": [[1, 2], [3, 4]]}
+  ],
+  "seconds": """
+
+
+def test_an_enumerating_report_reads_as_pinned(capsys, tmp_path):
+    # the path 1-2-3-4 and the isolated vertex 5
+    path = tmp_path / "small.gr"
+    path.write_text("p tw 5 3\n4 3\n2 1\n3 2\n")
+    rc, out, err = run_cli(capsys, "solve", "--graph", str(path), "--enumerate")
+    assert rc == 0, err
+    head, seconds = out.rsplit(" ", 1)
+    assert head + " " == GOLDEN_REPORT
+    assert seconds.endswith("\n}\n")
+    assert float(seconds[: -len("\n}\n")]) >= 0
 
 
 @pytest.fixture(params=["empty-graph", "oracle", "trace-empty-graph"])

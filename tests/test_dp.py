@@ -149,6 +149,61 @@ def test_links_expand_to_the_witnesses_at_the_row_cost(g1):
     assert row_witnesses([reduced.rows[()]]) == {1 << 0, 1 << 2}
 
 
+def expand_recursively(entry, memo: dict) -> set[int]:
+    """An entry's partial solutions, by plain recursion: per link, the OR
+    of one solution of each part."""
+    if id(entry) not in memo:
+        out = set()
+        for link in entry[1]:
+            acc = {0}
+            for part in link:
+                sols = {part} if isinstance(part, int) else expand_recursively(part, memo)
+                acc = {a | b for a in acc for b in sols}
+            out |= acc
+        memo[id(entry)] = out
+    return memo[id(entry)]
+
+
+def expected_witnesses(roots) -> set[int]:
+    memo: dict = {}
+    return set().union(*(expand_recursively(entry, memo) for entry in roots))
+
+
+def test_row_witnesses_expand_every_link_shape():
+    # costs are not read by the expansion
+    leaf_a = [1, [(1 << 0,), (1 << 1,)]]  # bitmasks alone
+    leaf_b = [1, [(1 << 2,)]]
+    intro = [2, [(leaf_a, 1 << 3), (leaf_b, 0)]]  # entry and bitmask
+    forget = [2, [(intro,)]]  # entry alone
+    # two entries, once the same one on both sides; leaf_a and leaf_b
+    # each have several parents
+    join = [3, [(forget, leaf_b), (leaf_a, leaf_a)]]
+    top = [4, [(join,), (join, 1 << 4), (forget, join)]]
+    assert row_witnesses([join]) == {0b1101, 0b1110, 0b100, 0b1, 0b10, 0b11}
+    for roots in ([top], [join, forget], [leaf_a, leaf_a], [top, intro, leaf_b]):
+        assert row_witnesses(roots) == expected_witnesses(roots)
+
+
+def test_row_witnesses_match_plain_recursion_on_random_link_dags():
+    rng = random.Random(19)
+    for _ in range(300):
+        entries: list[list] = []
+        for _ in range(rng.randint(1, 10)):
+            links = []
+            for _ in range(rng.randint(1, 3)):
+                mask = rng.getrandbits(6)
+                if not entries:
+                    links.append((mask,))
+                    continue
+                a, b = rng.choice(entries), rng.choice(entries)
+                links.append(
+                    rng.choice([(mask,), (a,), (a, mask), (a, 0), (a, b)])
+                )
+            entries.append([0, links])
+        roots = rng.sample(entries, rng.randint(1, min(3, len(entries))))
+        assert row_witnesses(roots) == expected_witnesses(roots)
+
+
 # -- introduce --------------------------------------------------------------
 
 
