@@ -20,8 +20,8 @@ through the per-slot zeta transform of the state lattice that _supremum
 defines (generalised fast subset convolution, van Rooij, Bodlaender and
 Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
 counts come back by Moebius inversion; exact integers keep the inversion
-lossless.  A join whose tables are small pairs their rows instead (Pair
-join, below).
+lossless.  A join of two capped tables with few rows pairs them instead
+(Pair join, below).
 
 Flag words.  Inside the engine a row is keyed by an integer with one
 byte per bag vertex, slot i in bits 8i..8i+7 (vertices ascending), each
@@ -66,50 +66,48 @@ pair outcome's cost under the cap, as transform_join6 and
 reference.direct_join6 do, and the walk (_SixState.join) runs the pass
 with the window on it.  Without a cost cap no row is dropped, so the
 tables are the full ones, {cost: count} ledgers per row; so are the
-tables built by hand.
+tables built by hand.  Their introduces add each child entry, times the
+branches that give it, at the entry's cost plus the branch's; their
+forgets add up ledgers; their joins always run transform_join6.
 
-Packed ledgers.  Inside the operations on full tables (introduce6
-without a cost cap, join6 of tables not both capped, and the
-transforms), a ledger {cost: count} is one integer, the sum of
+Packed ledgers.  Inside the transforms (transform_join6, zeta6 and
+moebius6), a ledger {cost: count} is one integer, the sum of
 count * 2^(w * (cost - base)), with fields of w bits (Kronecker
 substitution; Harvey, 2009).  A table's ledgers share one w and one
 base, the table's cheapest cost, so an int holds only the few fields of
 the cost window above it, not one field per cost from 0.  As long as no
 field overflows, packing is exact and linear: the sum of packed ints is
 the packed sum, so the per-slot transforms run on packed ints
-unchanged; shifting by w bits adds 1 to every cost; and the product of
-two packed ints is the packed product of their ledgers, field c holding
-the sum of count_a(i) * count_b(c - i).  One integer operation thus
-does the work of a loop over a ledger.
+unchanged, and the product of two packed ints is the packed product of
+their ledgers, field c holding the sum of count_a(i) * count_b(c - i).
+One integer operation thus does the work of a loop over a ledger.
 
 Fields are signed, so a packed int also holds the negative counts a
 Moebius inversion of a non-image produces.  _width(bound) gives bound's
 bits plus a sign bit, where bound caps the absolute value of every field
-an operation forms, intermediate ones included: the sum of absolute
-counts for a transform (its coefficients are 0 and +-1, and each input
-entry reaches each output entry once), the product of the two count
-totals for a join, and the count total times the branches per row for an
-introduce.  Tables leave each operation as dicts again.
+a transform forms, intermediate ones included: the sum of absolute
+counts for zeta6 and moebius6 (their coefficients are 0 and +-1, and
+each input entry reaches each output entry once), and the product of
+the two count totals for transform_join6.  Tables leave each transform
+as dicts again.
 
-Pair join.  join6 picks its method per join from a count it makes before
-it forms any pair.  Rows merge only when the MEMBER bits of their flag
-words agree.  Within such a group the OR of two bytes, with WAITING
-cleared under MARKED, is their supremum: two members are M+D; among the
-other states the dominated and the owing flags are each set when either
-side sets them, which is how _supremum merges 4, 5, 6 and 7, and a 3 on
-either side leaves K+D, the top.  A pair's ledger is the product of the
-two packed ledgers (Packed ledgers, above), at the base of both tables'
-cheapest costs less the group's members, which both sides select; the
-field width and the cap mask are transform_join6's, so both methods give
-the same table.  When both tables are capped, a pair's ledger is the
-one entry (cost_a + cost_b - members, count_a * count_b), formed without
-packing.  The rows of a bag of k vertices form the sum over
-groups of |A_g| * |B_g| pairs.  When that is at most 6^k, join6 forms
-them; otherwise it runs transform_join6, whose tuples are at most 6^k.
-Either way a join's work stays within the 6^k of the paper's O(6^tw)
-bound.  Under a cost cap a table holds only undominated rows with one
-cost each, so capped joins nearly always pair; the full tables of an
-uncapped walk are where the transform wins.
+Pair join.  When both tables are capped, join6 picks its method from a
+count it makes before it forms any pair.  Rows merge only when the
+MEMBER bits of their flag words agree.  Within such a group the OR of
+two bytes, with WAITING cleared under MARKED, is their supremum: two
+members are M+D; among the other states the dominated and the owing
+flags are each set when either side sets them, which is how _supremum
+merges 4, 5, 6 and 7, and a 3 on either side leaves K+D, the top.  A
+pair's ledger is the one entry (cost_a + cost_b - members,
+count_a * count_b), members being the group's, which both sides select.
+The rows of a bag of k vertices form the sum over groups of
+|A_g| * |B_g| pairs.  When that is at most 6^k, join6 forms them;
+otherwise it runs transform_join6, whose tuples are at most 6^k.  Either
+way a join's work stays within the 6^k of the paper's O(6^tw) bound.
+Under a cost cap a table holds only undominated rows with one cost each,
+so capped joins nearly always pair.  A full table's rows carry whole
+ledgers, whose pair products the transform forms one packed multiply per
+tuple, so every join with a full table runs the transform.
 """
 
 from __future__ import annotations
@@ -209,9 +207,12 @@ class SixTable(_Words):
     __slots__ = ()
 
     def __new__(cls, vertices, rows: Rows6):
+        vertices = tuple(vertices)
+        if any(u >= v for u, v in zip(vertices, vertices[1:])):
+            raise ValueError(f"bag vertices {vertices} are not strictly ascending")
         k = len(vertices)
         words = {_encode(key, k): ledger for key, ledger in rows.items()}
-        return _new(cls, (tuple(vertices), words, False))
+        return _new(cls, (vertices, words, False))
 
     @property
     def rows(self) -> Rows6:
@@ -248,8 +249,8 @@ def _add(ledger: CostLedger, cost: int, count: int) -> None:
 
 
 def _width(bound: int) -> int:
-    """Field width for packed ledgers whose fields never exceed bound in
-    absolute value: its bits plus a sign bit."""
+    """Field width for the packed ledgers of a transform whose fields
+    never exceed bound in absolute value: its bits plus a sign bit."""
     return bound.bit_length() + 1
 
 
@@ -273,14 +274,6 @@ def _ledgers(table: SixTable):
     if table.capped:
         return [{cost: count} for cost, count in table.words.values()]
     return table.words.values()
-
-
-def _packed(table: SixTable, w: int, base: int) -> dict[int, int]:
-    """Every row of a table as its flag word and its packed ledger."""
-    return {
-        word: _pack(ledger, w, base)
-        for word, ledger in zip(table.words, _ledgers(table))
-    }
 
 
 def _cheapest(table: SixTable) -> dict[int, list]:
@@ -419,11 +412,9 @@ def introduce6(
     Under a cost cap the table is capped: a row keeps its cheapest cost
     and the number of branch outcomes at that cost, only costs within the
     cap and the cost window of walk.py are formed, and dominated rows are
-    dropped (module docstring).  Without one, each child ledger is packed
-    once and a branch adds it shifted by the branch's cost.  An output
-    field sums at most one child entry per (row, branch), and a row has
-    fewer than 3 * 2^d branches for d new edges, so no field exceeds the
-    child count total times 3 * 2^d."""
+    dropped (module docstring).  Without one, a branch adds each child
+    entry, its count times the number of ways the branch is taken, at the
+    entry's cost plus the branch's."""
     if v_new in table.vertices:
         raise ValueError(f"vertex {v_new} is already in the bag")
     vertices = tuple(sorted(table.vertices + (v_new,)))
@@ -455,22 +446,16 @@ def introduce6(
                 elif cost == entry[0]:
                     entry[1] += count * ways
         return _undominated(_table(vertices, out, True), window=False)
-    low, total = _base_total(_ledgers(table))
-    # a row has 2^(d+1) - 1 selections plus 2^(open edges) <= 2^d owners
-    w = _width(total * (3 << len(nbrs)))
-    packed: dict[int, int] = {}
-    for cword, x in _packed(table, w, low).items():
-        shifted = [x << w * s for s in range(len(nbrs) + 2)]
+    rows: dict[int, CostLedger] = {}
+    for cword, ledger in zip(table.words, _ledgers(table)):
         base = (cword & below) | (cword & ~below) << 8
         for delta, shifts in branches[cword & mask]:
-            word = base + delta
-            y = packed.get(word, 0)
+            tgt = rows.setdefault(base + delta, {})
             for s, ways in shifts:
-                y += shifted[s] * ways
-            packed[word] = y
-    return _table(
-        vertices, {word: _unpack(x, w, low) for word, x in packed.items()}, False
-    )
+                for cost, count in ledger.items():
+                    cost += s
+                    tgt[cost] = tgt.get(cost, 0) + count * ways
+    return _table(vertices, rows, False)
 
 
 def forget6(table: SixTable, forgotten: int) -> SixTable:
@@ -559,19 +544,17 @@ def join6(
     stats: dict | None = None,
     cost_cap: int | None = None,
 ) -> SixTable:
-    """Join two tables of one bag of k vertices, by pairs when the rows
-    present form at most 6^k pairs, else by transform_join6.  The result
-    holds every pair outcome's cost under the cap, capped children or not.
+    """Join two tables of one bag of k vertices: by pairs when both are
+    capped and their rows form at most 6^k pairs, else by transform_join6.
+    The result holds every pair outcome's cost under the cap.
 
     Rows pair only within a group of equal MEMBER bits, so the pairs are
     counted per group before any is formed.  A pair's word is the OR of the
-    two flag words with WAITING cleared under MARKED, its ledger the
-    product of the two ledgers, shifted by the group's members, which both
-    sides select (module docstring, "Pair join"): one entry when both
-    tables are capped, else the product of two packed ledgers, whose field
-    width and cap mask are transform_join6's, so both methods return the
-    same table.  With stats, "pairs" counts the pairs formed and
-    "transform_tuples" the tuples transformed; one of them is 0.
+    two flag words with WAITING cleared under MARKED, its ledger the one
+    entry (cost_a + cost_b - members, count_a * count_b), members being the
+    group's, which both sides select (module docstring, "Pair join").  With
+    stats, "pairs" counts the pairs formed and "transform_tuples" the
+    tuples transformed; one of them is 0.
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
@@ -580,7 +563,7 @@ def join6(
     groups_a = _by_members(a.words, ones * MEMBER)
     groups_b = _by_members(b.words, ones * MEMBER)
     pairs = sum(len(g) * len(groups_b.get(m, ())) for m, g in groups_a.items())
-    if pairs > 6 ** k:
+    if not (a.capped and b.capped) or pairs > 6 ** k:
         if stats is not None:
             stats["pairs"] = 0
         return transform_join6(a, b, stats, cost_cap)
@@ -589,56 +572,26 @@ def join6(
         stats["transform_tuples"] = 0
     waiting = ones * WAITING  # MARKED << 2 lands on WAITING
     rows: dict[int, CostLedger] = {}
-    if a.capped and b.capped:
-        # one (cost, count) a row, so a pair's ledger is one entry
-        limit = float("inf") if cost_cap is None else cost_cap
-        for members, group in groups_a.items():
-            partners = [(wb, *b.words[wb]) for wb in groups_b.get(members, ())]
-            if not partners:
-                continue
-            shared = members.bit_count()
-            for wa in group:
-                ca, na = a.words[wa]
-                ca -= shared
-                for wb, cb, nb in partners:
-                    cost = ca + cb
-                    if cost > limit:
-                        continue
-                    word = wa | wb
-                    word &= ~(word << 2 & waiting)
-                    ledger = rows.get(word)
-                    if ledger is None:
-                        rows[word] = {cost: na * nb}
-                    else:
-                        ledger[cost] = ledger.get(cost, 0) + na * nb
-        return _table(a.vertices, rows, False)
-    base_a, total_a = _base_total(_ledgers(a))
-    base_b, total_b = _base_total(_ledgers(b))
-    w = _width(total_a * total_b)
-    packed_a = _packed(a, w, base_a)
-    packed_b = _packed(b, w, base_b)
+    limit = float("inf") if cost_cap is None else cost_cap
     for members, group in groups_a.items():
-        partners = [(wb, packed_b[wb]) for wb in groups_b.get(members, ())]
+        partners = [(wb, *b.words[wb]) for wb in groups_b.get(members, ())]
         if not partners:
             continue
-        ored: dict[int, int] = {}
+        shared = members.bit_count()
         for wa in group:
-            x = packed_a[wa]
-            for wb, y in partners:
+            ca, na = a.words[wa]
+            ca -= shared
+            for wb, cb, nb in partners:
+                cost = ca + cb
+                if cost > limit:
+                    continue
                 word = wa | wb
-                ored[word] = ored.get(word, 0) + x * y
-        # WAITING cleared under MARKED, once per word rather than per pair
-        product: dict[int, int] = {}
-        for word, x in ored.items():
-            word &= ~(word << 2 & waiting)
-            product[word] = product.get(word, 0) + x
-        base = base_a + base_b - members.bit_count()
-        keep = None if cost_cap is None else w * max(cost_cap - base + 1, 0)
-        for word, x in product.items():
-            if keep is not None and x.bit_length() > keep:
-                x &= ~(-1 << keep)
-            if x:
-                rows[word] = _unpack(x, w, base)
+                word &= ~(word << 2 & waiting)
+                ledger = rows.get(word)
+                if ledger is None:
+                    rows[word] = {cost: na * nb}
+                else:
+                    ledger[cost] = ledger.get(cost, 0) + na * nb
     return _table(a.vertices, rows, False)
 
 

@@ -23,6 +23,7 @@ from mixdom.mds6 import (
     _decode,
     _encode,
     _supremum,
+    _table,
     _undominated,
     forget6,
     introduce6,
@@ -256,8 +257,10 @@ def _scaled(rows, factor, offset):
 
 
 def test_packed_operations_scale_with_counts_and_costs(g1, fig_ntd):
-    # packing is relative to each table's cheapest cost and sized by its
-    # count totals, so huge counts and far-off costs change nothing else
+    # the join's transform packs ledgers relative to each table's cheapest
+    # cost, in fields sized by its count totals, and the introduce adds
+    # entries one by one, so huge counts and far-off costs change nothing
+    # else
     res = run6(g1, fig_ntd, collect_tables=True)
     tau = postorder_traversal(fig_ntd)
     position = {idx: pos for pos, idx in enumerate(tau)}
@@ -317,25 +320,40 @@ def test_join6_matches_direct_join_on_huge_counts():
     assert join6(one, one).rows == {(5,): {6: top * top}}
 
 
+def _capped(vertices, rows):
+    """A capped table built directly from one (cost, count) per row."""
+    k = len(vertices)
+    words = {_encode(key, k): [cost, count] for key, (cost, count) in rows.items()}
+    return _table(vertices, words, True)
+
+
 def test_join6_pairs_up_to_six_to_the_k_pairs_and_transforms_past_it():
-    # two slots, so join6 forms at most 6^2 = 36 pairs: six non-member rows
-    # a side make exactly 36, and one member row more a side makes 37
+    # two slots, so join6 pairs capped tables up to 6^2 = 36 pairs: one row
+    # a side makes 1, six non-member rows a side make exactly 36, and one
+    # member row more a side makes 37; a full table on either side always
+    # takes the transform, however few pairs its rows form
     outside = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 3), (5, 5)]
-    rows = {key: {i % 3: i + 1} for i, key in enumerate(outside)}
-    below = (SixTable((0, 1), rows), SixTable((0, 1), _scaled(rows, 2 ** 40, 1)))
+    rows = {key: (i % 3, i + 1) for i, key in enumerate(outside)}
+    scaled = {key: (cost + 1, count << 40) for key, (cost, count) in rows.items()}
+    one = (_capped((0, 1), {(5, 5): (0, 1)}), _capped((0, 1), {(5, 7): (1, 3)}))
+    below = (_capped((0, 1), rows), _capped((0, 1), scaled))
     above = (
-        SixTable((0, 1), {**below[0].rows, (1, 5): {2: 1}}),
-        SixTable((0, 1), {**below[1].rows, (1, 7): {1: 2}}),
+        _capped((0, 1), {**rows, (1, 5): (2, 1)}),
+        _capped((0, 1), {**scaled, (1, 7): (1, 2)}),
     )
     for cap in (None, 3):
-        for (a, b), pairs in [(below, 36), (above, 0)]:
-            stats: dict = {}
-            joined = join6(a, b, stats=stats, cost_cap=cap)
-            assert joined.rows == direct_join6(a, b, cost_cap=cap).rows
-            assert joined.rows == transform_join6(a, b, cost_cap=cap).rows
-            assert stats["pairs"] == pairs
-            assert (stats["transform_tuples"] == 0) == (pairs > 0)
-            assert stats["pairs"] + stats["transform_tuples"] <= 6 ** 2
+        for (a, b), pairs in [(one, 1), (below, 36), (above, 0)]:
+            full_a, full_b = (SixTable(t.vertices, t.rows) for t in (a, b))
+            for x, y, formed in [
+                (a, b, pairs), (full_a, full_b, 0), (a, full_b, 0), (full_a, b, 0)
+            ]:
+                stats: dict = {}
+                joined = join6(x, y, stats=stats, cost_cap=cap)
+                assert joined.rows == direct_join6(x, y, cost_cap=cap).rows
+                assert joined.rows == transform_join6(x, y, cost_cap=cap).rows
+                assert stats["pairs"] == formed
+                assert (stats["transform_tuples"] == 0) == (formed > 0)
+                assert stats["transform_tuples"] <= 6 ** 2
 
 
 def _direct_zeta(rows):
@@ -498,7 +516,8 @@ def _cut_to_window_and_undominated(table, cap):
 def _check_capped_walk(g, ntd, cap):
     """Every table of the capped walk is the uncapped operation on its
     capped children, cut by _cut_to_window_and_undominated; returns the
-    number of bags checked."""
+    number of bags checked.  Joins are checked against direct_join6, so
+    the engine's capped pair join meets the pair-by-pair specification."""
     res = run6(g, ntd, collect_tables=True, cost_cap=cap)
     tau = postorder_traversal(ntd)
     position = {idx: pos for pos, idx in enumerate(tau)}
@@ -515,7 +534,7 @@ def _check_capped_walk(g, ntd, cap):
         elif node.kind == "forget":
             full = forget6(kids[0], node.vertex)
         else:
-            full = join6(*kids)
+            full = direct_join6(*kids)
         table = res.tables[position[idx]]
         assert table.vertices == full.vertices
         assert table.rows == _cut_to_window_and_undominated(full, cap), (g.edges, idx)
@@ -546,6 +565,18 @@ def test_capped_tables_are_the_cut_uncapped_operations_on_partial_ktrees():
     root = random.Random(61).randrange(len(td.bags))
     assert root != td.root
     _check_capped_walk(g, make_very_nice(td, root=root), greedy_upper_bound(g))
+
+
+def test_six_table_requires_strictly_ascending_vertices():
+    # a row's slots follow the ascending bag vertices, so a table given
+    # (1, 0) would hand its first slot to vertex 0 at the next introduce
+    for bad in [(1, 0), (1, 1), (0, 2, 1)]:
+        with pytest.raises(ValueError):
+            SixTable(bad, {(1,) + (5,) * (len(bad) - 1): {1: 1}})
+    g = Graph(3, [])
+    t = introduce6(g, SixTable((0, 1), {(5, 1): {1: 1}}), 2)
+    assert t.vertices == (0, 1, 2)
+    assert t.rows == {(5, 1, 1): {2: 1}, (5, 1, 5): {1: 1}}
 
 
 def test_flag_words_and_state_tuples_round_trip():
