@@ -260,16 +260,25 @@ def line_ints(line_num: int, tokens: list[str]) -> list[int]:
     return out
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Line number and stripped text of each line that is neither blank
+    nor a comment."""
+    for line_num, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield line_num, line
+
+
 def parse_gr(text: str) -> Graph:
     """Parse graph text: comment lines "c ...", a header "p tw <n> <m>",
     then m lines "u v" with 1-based vertex ids.  Errors name the line and
-    the vertices 1-based, as the file does."""
+    the vertices 1-based, as the file does.
+
+    Graph checks each edge's range, self-loops and duplicates once; only
+    when it rejects one is the text read again, to name the line."""
     header: tuple[int, int] | None = None
-    edges: set[tuple[int, int]] = set()  # 0-based, lower end first
-    for line_num, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    edges: list[tuple[int, int]] = []  # 0-based, as written
+    for line_num, line in content_lines(text):
         parts = line.split()
         if parts[0] == "p":
             if header is not None:
@@ -283,23 +292,37 @@ def parse_gr(text: str) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"line {line_num}: malformed edge line {line!r}")
             u, v = line_ints(line_num, parts)
-            n = header[0]
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"line {line_num}: vertex out of range 1..{n}")
-            if u == v:
-                raise ValueError(f"line {line_num}: self-loop at vertex {u}")
-            e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-            if e in edges:
-                raise ValueError(
-                    f"line {line_num}: duplicate edge ({e[0] + 1}, {e[1] + 1})"
-                )
-            edges.add(e)
+            edges.append((u - 1, v - 1))
     if header is None:
         raise ValueError("missing header line")
     n, m = header
-    if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    try:
+        g = Graph(n, edges)
+    except ValueError:
+        _raise_at_rejected_edge(text, n)
+        raise
+    if g.edge_count != m:
+        raise ValueError(f"header declares {m} edges, found {g.edge_count}")
+    return g
+
+
+def _raise_at_rejected_edge(text: str, n: int) -> None:
+    """Raise the error for the first edge line of text that Graph rejects,
+    naming the line and the vertices 1-based; the text parses otherwise."""
+    seen: set[tuple[int, int]] = set()
+    for line_num, line in content_lines(text):
+        parts = line.split()
+        if parts[0] == "p":
+            continue
+        u, v = (int(t) for t in parts)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"line {line_num}: vertex out of range 1..{n}")
+        if u == v:
+            raise ValueError(f"line {line_num}: self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"line {line_num}: duplicate edge ({e[0]}, {e[1]})")
+        seen.add(e)
 
 
 def write_gr(g: Graph) -> str:

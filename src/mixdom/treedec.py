@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, NamedTuple
 
-from .graph import Graph, line_ints
+from .graph import Graph, content_lines, line_ints
 
 
 class TreeDecomposition(NamedTuple):
@@ -221,9 +221,27 @@ def make_very_nice(
     The tree is rooted at the given bag (default: the decomposition's
     root), every leaf becomes a singleton bag followed by an ascending
     introduce chain, adjacent bags are bridged by forget-then-introduce
-    chains, multi-child bags are folded into binary joins, and a final
-    forget chain leaves a singleton root (the lowest remaining vertex
-    id).  Width is preserved exactly.
+    chains, and a final forget chain leaves a singleton root (the lowest
+    remaining vertex id).  A bag B with one child is that child bridged
+    to B.
+
+    A bag B with children C1, C2, ... (their top bags, in ascending bag
+    index) is folded into binary joins at their meet: the first join bag
+    is (B ∩ C1) ∪ (B ∩ C2), each later join adds B ∩ Ci, both sides of
+    every join are bridged to its bag, and after the last join one
+    bridge introduces the rest of B.  A meet with no vertex joins at B.
+    The result is a very nice decomposition of the same graph:
+
+    - by running intersection, a vertex of B held in child i's subtree
+      is in Ci, so the bridges forget only vertices of Ci outside B, and
+      a vertex they introduce is in no bag below them;
+    - a vertex introduced after the last join is in no joined subtree,
+      so it still leaves the decomposition exactly once;
+    - every new bag is a subset of B or of a child's bag;
+    - an edge inside B is still inside a bag that introduces one endpoint
+      over a child holding the other, where walk.py's check reads it.
+
+    Width is preserved exactly, and the joins are no larger than B.
     """
     if not td.bags or all(not b for b in td.bags):
         raise ValueError("cannot normalize a decomposition with no vertices")
@@ -270,11 +288,12 @@ def make_very_nice(
         bag = td.bags[bag_idx]
         if not child_tops:
             return fresh_chain(bag) if bag else None
-        aligned = [bridge(c, bag) for c in child_tops]
-        idx = aligned[0]
-        for other in aligned[1:]:
-            idx = emit(bag, "join", None, (idx, other))
-        return idx
+        idx = child_tops[0]
+        meet = bag & nodes[idx].bag
+        for other in child_tops[1:]:
+            meet = meet | (bag & nodes[other].bag) or bag
+            idx = emit(meet, "join", None, (bridge(idx, meet), bridge(other, meet)))
+        return bridge(idx, bag)
 
     # Depth-first over the bag tree with an explicit stack, so a long path
     # of bags needs no recursion.  Children are visited in ascending bag
@@ -333,10 +352,7 @@ def parse_td(text: str) -> TreeDecomposition:
     header: tuple[int, int, int] | None = None
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
-    for line_num, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for line_num, line in content_lines(text):
         parts = line.split()
         if parts[0] == "s":
             if header is not None:

@@ -103,9 +103,12 @@ def _check_decomposition(
     one.  So one exit per vertex is the running-intersection property,
     and it also puts every vertex in some bag.
 
-    In a very nice decomposition every edge inside some bag is inside the
-    bag that introduces its later endpoint, so edge coverage is read off
-    the introduce bags alone.
+    In a very nice decomposition every edge inside some bag is inside a
+    bag that introduces one endpoint over a child holding the other: a
+    lowest bag holding both ends is no leaf (one vertex), no forget (its
+    child holds more) and no join (its children hold the same).  So edge
+    coverage is read off the introduce bags alone, wherever the
+    decomposition puts its joins.
     """
     nodes = ntd.nodes
     if not 0 <= ntd.root < len(nodes):

@@ -197,16 +197,24 @@ def test_parse_gr_example_file(g1):
 
 
 def test_parse_gr_errors():
-    with pytest.raises(ValueError):
-        parse_gr("p edge 2 1\n1 2\n")
-    with pytest.raises(ValueError):
-        parse_gr("1 2\n")
-    with pytest.raises(ValueError):
-        parse_gr("p tw 2 1\n1 3\n")
-    with pytest.raises(ValueError):
-        parse_gr("p tw 2 2\n1 2\n1 2\n")
-    with pytest.raises(ValueError):
+    for text, message in [
+        ("p edge 2 1\n1 2\n", "line 1: malformed header 'p edge 2 1'"),
+        ("1 2\n", "line 1: edge before header"),
+        ("p tw 2 1\n1 3\n", "line 2: vertex out of range 1..2"),
+        ("p tw 2 2\n1 2\n1 2\n", "line 3: duplicate edge (1, 2)"),
+        ("c c\np tw 3 3\n\n3 2\n1 2\n2 3\n", "line 6: duplicate edge (2, 3)"),
+        ("p tw 3 2\n1 2\nc\n2 2\n", "line 4: self-loop at vertex 2"),
+        ("p tw 3 2\n0 1\n", "line 2: vertex out of range 1..3"),
+        ("p tw 2 1\n1 2\np tw 2 1\n", "line 3: duplicate header"),
+        ("p tw 3 1\n1 2 3\n", "line 2: malformed edge line '1 2 3'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_gr(text)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="header declares 2 edges, found 1"):
         parse_gr("p tw 2 2\n1 2\n")
+    with pytest.raises(ValueError, match="missing header line"):
+        parse_gr("c only a comment\n")
 
 
 def test_gr_round_trip():

@@ -9,7 +9,10 @@ import pytest
 
 from conftest import fixture_text, gnp_graph, path_graph, random_tree, reference_min_fill
 from mixdom.cli import _random_partial_ktree
+from mixdom.dp import run_dp
 from mixdom.graph import Graph, parse_gr
+from mixdom.mds6 import run6
+from mixdom.oracle import brute_force, greedy_upper_bound
 from mixdom.treedec import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -266,6 +269,68 @@ def test_very_nice_preserves_width_and_is_small():
         assert validate_td(g, ntd.as_td()) == []
         assert ntd.width() == td.width()
         assert len(ntd) <= 16 * g.vertex_count
+
+
+def below(ntd: NiceTreeDecomposition, idx: int) -> set[int]:
+    """The nodes of the subtree rooted at idx, idx included."""
+    out, stack = set(), [idx]
+    while stack:
+        i = stack.pop()
+        out.add(i)
+        stack.extend(ntd.nodes[i].children)
+    return out
+
+
+def check_meet_joins(g: Graph, td: TreeDecomposition) -> NiceTreeDecomposition:
+    """Normalize td, check the result is a very nice decomposition of g of
+    the same width, and check both programs against the oracle on it."""
+    ntd = make_very_nice(td)
+    check_very_nice(ntd)
+    assert validate_td(g, ntd.as_td()) == []
+    assert ntd.width() == td.width()
+    oracle = brute_force(g, enumerate_all=True)
+    for cap in (None, greedy_upper_bound(g)):
+        result = run_dp(g, ntd, enumerate_sets=True, cost_cap=cap)
+        assert (result.gamma, result.min_sets) == oracle
+        assert run6(g, ntd, cost_cap=cap).gamma == oracle.gamma
+    return ntd
+
+
+def introduces_of(ntd: NiceTreeDecomposition, v: int) -> list[int]:
+    return [
+        i for i, n in enumerate(ntd.nodes) if n.kind == "introduce" and n.vertex == v
+    ]
+
+
+def test_very_nice_joins_a_tree_bag_at_its_meet_and_introduces_the_parent_once():
+    # bag {v, p} over children {c1, v} and {c2, v}: the join holds v alone
+    v, p, c1, c2 = 0, 1, 2, 3
+    g = Graph(4, [(v, p), (v, c1), (v, c2)])
+    ntd = check_meet_joins(g, from_bags([{v, p}, {c1, v}, {c2, v}], [(1, 0), (2, 0)]))
+    (join,) = [i for i, n in enumerate(ntd.nodes) if n.kind == "join"]
+    assert ntd.nodes[join].bag == {v}
+    (intro_p,) = introduces_of(ntd, p)
+    assert join in below(ntd, intro_p)
+
+
+def test_very_nice_introduces_a_vertex_no_child_holds_after_the_last_join():
+    # bag {a, b, e, x} over children {a, c}, {b, d} and {e, f}; x sits in
+    # no child and has bag edges to a, b and e
+    a, b, e, x, c, d, f = range(7)
+    g = Graph(7, [(a, b), (x, a), (x, b), (x, e), (a, c), (b, d), (e, f)])
+    td = from_bags([{a, b, e, x}, {a, c}, {b, d}, {e, f}], [(1, 0), (2, 0), (3, 0)])
+    ntd = check_meet_joins(g, td)
+    joins = [i for i in postorder_traversal(ntd) if ntd.nodes[i].kind == "join"]
+    assert [ntd.nodes[i].bag for i in joins] == [{a, b}, {a, b, e}]
+    (intro_x,) = introduces_of(ntd, x)
+    assert set(joins) <= below(ntd, intro_x)
+
+
+def test_very_nice_joins_at_the_full_bag_when_no_child_shares_a_vertex():
+    # three components; the bag {0, 1} shares no vertex with either child
+    g = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    ntd = check_meet_joins(g, from_bags([{0, 1}, {2, 3}, {4, 5}], [(1, 0), (2, 0)]))
+    assert [n.bag for n in ntd.nodes if n.kind == "join"] == [{0, 1}]
 
 
 def test_very_nice_rejects_a_cycle_of_bags():
