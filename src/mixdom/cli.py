@@ -4,9 +4,10 @@ Subcommands: solve (dynamic programs or exhaustive search), decompose,
 validate, oracle, trace, and bench.  Graphs and decompositions travel in
 the 1-based text formats of graph.parse_gr and treedec.parse_td.
 
-Exit codes: 0 success, 1 unreadable or malformed input or unwritable
-output, 2 decomposition problems (validation failure, mismatch with the
-graph, unusable options), 3 exhaustive search refused by the size guard.
+Exit codes: 0 success, 1 unreadable or malformed input, unwritable
+output or out of memory, 2 decomposition problems (validation failure,
+mismatch with the graph, unusable options), 3 exhaustive search refused
+by the size guard.
 """
 
 from __future__ import annotations
@@ -425,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

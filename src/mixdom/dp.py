@@ -45,12 +45,8 @@ vertex and its new edges; a join groups the rows of both children by
 their member flags.  A pair costs both costs minus the elements both
 sides select.
 
-Dominated rows.  Under a cost cap and without enumeration, a forget also
-drops every row that a row one vertex better matches at no higher cost,
-in the same pass as its cut to the cost window of walk.py.  flags.py
-holds the flag constants, the goodness order, the pass shared with
-mds6.py and the argument that the drop changes no optimum.  Introduces
-and joins do not run the pass: it cost more there than it saved.
+Dominated rows.  Under a cost cap forget_reduce drops them in its cut;
+flags.py holds the pass, the argument and when it runs.
 
 This module holds only the engine and does not read the ⋆/∗ tables.  The
 paper's table-driven operations, introduce_combine and join_combine, live
@@ -196,16 +192,8 @@ class StateTable:
     elements its partial solutions select, which is what makes min-cost
     deduplication sound.
 
-    A table holds no cost cap.  Costs never decrease along the dynamic
-    program (introduces add selections, forgets keep cost, joins charge at
-    least each side's cost), so the operations drop a row over the cap
-    where its cost is formed: bag-local selections stop at the cap and the
-    merges skip over-cap pairs.  Capping at the size of any known mixed
-    dominating set is lossless for the optimum and for enumeration while
-    keeping tables small on dense bags.  Under a cap the merges also stop
-    at the cost window of walk.py, whose soundness argument is there, and
-    when enumeration is off the walk's forgets drop the dominated rows
-    (module docstring, "Dominated rows").
+    A table holds no cost cap: the operation that forms it applies the
+    cap and cuts it (walk.py, "Pruning").
     """
 
     def __init__(self, layout: BagLayout, track_witnesses: bool):
@@ -501,7 +489,12 @@ def _forget_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
     return tuple(incident), all_dominated, runs
 
 
-def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTable:
+def forget_reduce(
+    g: Graph,
+    stable_child: StateTable,
+    forgotten: int,
+    cost_cap: int | None = None,
+) -> StateTable:
     """Remove a vertex from the table, dropping rows it invalidates.
 
     A row dies when the forgotten vertex is undominated (5, 7, 9) or
@@ -510,7 +503,10 @@ def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTa
     behind undominated bag edges (state 6), each such edge's surviving
     endpoint is marked as waiting (4 or 6 becomes 8, 5 or 7 becomes 9);
     only a future selected edge at that endpoint can clear the mark.
-    Costs are kept, so a forget needs no cost cap.
+    Costs are kept, so no row goes over the cap, but dropping rows may
+    raise the minimum: under a cap the table is cut to the cost window of
+    walk.py, and without enumeration that cut is the dominated-row pass
+    of flags.py.
     """
     child = stable_child.layout
     if forgotten not in child.vpos:
@@ -534,6 +530,15 @@ def forget_reduce(g: Graph, stable_child: StateTable, forgotten: int) -> StateTa
         for mask, down in runs:
             word |= (cword & mask) >> down
         result.add(word, entry[0], (entry,) if track else None)
+    words = result.words
+    if cost_cap is not None and words:
+        k = len(layout.vertices)
+        if track:
+            limit = min(entry[0] for entry in words.values()) + k
+            result.words = {w: entry for w, entry in words.items() if entry[0] <= limit}
+        else:
+            steps = bag_steps(k, layout.edge_endpoints)
+            result.words = undominated(words, steps, window=k)
     return result
 
 
@@ -572,11 +577,10 @@ class DPResult(NamedTuple):
 
 class _NineState:
     """The nine-state program's half of the bag walk, for one graph and one
-    cost cap.  The operations stop at the cap and the window of walk.py
-    while they build, except forget, which cuts its table afterwards; when
-    enumeration is off, that cut also drops the dominated rows (flags.py).
-    Bag operations are looked up as module globals on every call, so
-    wrappers installed on this module from outside see each call."""
+    cost cap.  Each method is one call to its bag operation, which cuts
+    the table it forms (walk.py).  Bag operations are looked up as module
+    globals on every call, so wrappers installed on this module from
+    outside see each call."""
 
     def __init__(self, g: Graph, track_witnesses: bool, cost_cap: int | None):
         self.g = g
@@ -590,20 +594,7 @@ class _NineState:
         return _introduce_extend(self.g, child, vertex, self.cost_cap)
 
     def forget(self, child, vertex):
-        table = forget_reduce(self.g, child, vertex)
-        words = table.words
-        if self.cost_cap is None or not words:
-            return table
-        layout = table.layout
-        k = len(layout.vertices)
-        if self.track_witnesses:
-            limit = self.min_cost(table) + k
-            for word in [word for word, entry in words.items() if entry[0] > limit]:
-                del words[word]
-        else:
-            steps = bag_steps(k, layout.edge_endpoints)
-            table.words = undominated(words, steps, window=k)
-        return table
+        return forget_reduce(self.g, child, vertex, self.cost_cap)
 
     def join(self, left, right):
         return _join_grouped(self.g, left, right, self.cost_cap)
@@ -701,12 +692,9 @@ def run_dp(
     is gamma, and since a forget keeps a row's cheapest cost and every
     link that reaches it, its links lead to exactly the optimal root rows.
 
-    cost_cap prunes rows costing more than the cap at every bag and turns
-    on the cost window of walk.py, which also drops rows costing more than
-    their table's minimum plus the bag size, the root bag's forgets
-    included; see walk.py for why neither changes the result.  The result
-    (optimum and enumeration) is unchanged as long as the cap is at least
-    the size of some mixed dominating set, e.g. greedy_upper_bound.
+    cost_cap turns on the pruning of walk.py ("Pruning"), which leaves
+    the optimum and the minimum sets unchanged as long as the cap is at
+    least the size of some mixed dominating set, e.g. greedy_upper_bound.
     Without a cap the tables are the full ones.
     """
     scheme = _NineState(g, enumerate_sets, cost_cap)

@@ -101,9 +101,10 @@ bag size.
 
 Where it runs.  Only under a cost cap, since the full tables without a
 cap are what the traces and worked examples show.  mds6.py runs it on
-every capped introduce, forget and join.  dp.py runs it only at forgets,
-folded into their window cut, and never while enumerating: a row R that
-R' matches at equal cost may still lead to minimum sets of its own.
+every capped introduce, forget and join.  dp.py runs it only in
+forget_reduce, as its window cut (at introduces and joins it cost more
+than it saved), and never while enumerating: a row R that R' matches at
+equal cost may still lead to minimum sets of its own.
 """
 
 from __future__ import annotations

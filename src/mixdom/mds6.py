@@ -43,32 +43,24 @@ works on the words:
     WAITING clear, which are the states 1, 3 and 4, and shifts the byte
     out.  A join ORs the words of two rows (Pair join, below).
 
-Dominated rows.  Under a cost cap, which also turns on the cost window
-of walk.py, no table keeps a row that a better row matches at no higher
-cost.  The goodness order of flags.py, in states: 1 stands apart; 3 is
-above 4, 5, 6 and 7; 4 is above 5 and 6; 5 and 6 are each above 7; 5
-and 6 are incomparable.  This is not the lattice of _supremum, which puts
-4 below 6: a 6 owns an undominated edge that a 4 does not, and a forget
-drops the 6 but keeps the 4.  flags.py holds the pass (_undominated is a
-thin wrapper over it) and the argument that dropping these rows, and the
-entries of a ledger above its own cheapest cost, changes no optimum.
-Ledger counts stay exact counts of the branch and pair outcomes of the
-entries that are kept, so transform_join6's inversion stays exact; they
-were never a number of sets, and are not now.
+Dominated rows.  Under a cost cap no table keeps a row that a row one
+vertex better matches at no higher cost, nor a ledger entry above its
+row's cheapest cost; flags.py holds the goodness order, the pass
+(_undominated is a thin wrapper over it) and the argument.  Ledger
+counts stay exact counts of the branch and pair outcomes of the entries
+that are kept, so transform_join6's inversion stays exact; they were
+never a number of sets, and are not now.
 
 Capped tables.  So under a cost cap a table holds one [cost, count] per
 row: the cheapest cost of the row and the number of branch or pair
-outcomes at that cost.  introduce6 with a cost cap forms only those, up
-to the cap and the window (its minimum is its child's), and runs the
-pass; forget6 keeps its child's form and, on a capped table, runs the
-pass with the window, which a forget can raise.  join6 returns every
-pair outcome's cost under the cap, as transform_join6 and
-reference.direct_join6 do, and the walk (_SixState.join) runs the pass
-with the window on it.  Without a cost cap no row is dropped, so the
-tables are the full ones, {cost: count} ledgers per row; so are the
-tables built by hand.  Their introduces add each child entry, times the
-branches that give it, at the entry's cost plus the branch's; their
-forgets add up ledgers; their joins always run transform_join6.
+outcomes at that cost.  introduce6 and forget6 cut the tables they form
+(walk.py, "Pruning"); join6 returns every pair outcome's cost under the
+cap, as transform_join6 and reference.direct_join6 do, and _SixState.join
+cuts it.  Without a cost cap no row is dropped, so the tables are the
+full ones, {cost: count} ledgers per row; so are the tables built by
+hand.  Their introduces add each child entry, times the branches that
+give it, at the entry's cost plus the branch's; their forgets add up
+ledgers; their joins always run transform_join6.
 
 Packed ledgers.  Inside the transforms (transform_join6, zeta6 and
 moebius6), a ledger {cost: count} is one integer, the sum of
@@ -664,11 +656,10 @@ def _undominated(table: SixTable, window: bool) -> SixTable:
 
 class _SixState:
     """The six-state program's half of the bag walk, for one graph and one
-    cost cap.  Under a cap, introduce6 and forget6 return capped tables
-    (module docstring); a join's table holds every pair outcome under the
-    cap, and goes through _undominated with the cost window of walk.py
-    here.  Bag operations are looked up as module globals on every call,
-    so wrappers installed on this module from outside see each call."""
+    cost cap.  Each method is one call to its bag operation, which cuts
+    the table it forms, except join, which cuts join6's table (walk.py).
+    Bag operations are looked up as module globals on every call, so
+    wrappers installed on this module from outside see each call."""
 
     def __init__(self, g: Graph, cost_cap: int | None):
         self.g = g
@@ -702,13 +693,9 @@ def run6(
     the cheapest cost in the one row left after the walk forgets the root
     bag (walk.py).
 
-    cost_cap prunes ledger entries above the cap at every bag and turns on
-    the cost window of walk.py, which also drops entries costing more than
-    their table's minimum plus the bag size (the root bag's forgets
-    included), and the drop of dominated rows (module docstring); none of
-    them changes the optimum.  The result is unchanged as long as the cap
-    is at least the size of some mixed dominating set, e.g.
-    greedy_upper_bound.
+    cost_cap turns on the pruning of walk.py ("Pruning"), which leaves
+    the optimum unchanged as long as the cap is at least the size of some
+    mixed dominating set, e.g. greedy_upper_bound.
     """
     _, gamma, tables = walk(g, ntd, _SixState(g, cost_cap), tau, collect_tables)
     return Run6Result(gamma, tables)

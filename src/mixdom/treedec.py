@@ -260,16 +260,6 @@ def make_very_nice(
         nodes.append(NiceBag(bag, kind, vertex, children))
         return len(nodes) - 1
 
-    def fresh_chain(target: frozenset[int]) -> int:
-        """Leaf singleton plus introduces, ending with content = target."""
-        order = sorted(target)
-        idx = emit(frozenset({order[0]}), "leaf", None, ())
-        have = {order[0]}
-        for v in order[1:]:
-            have.add(v)
-            idx = emit(frozenset(have), "introduce", v, (idx,))
-        return idx
-
     def bridge(idx: int, target: frozenset[int]) -> int:
         """Forget-then-introduce chain from nodes[idx] to content target."""
         have = set(nodes[idx].bag)
@@ -287,7 +277,9 @@ def make_very_nice(
         vertex-less subtrees."""
         bag = td.bags[bag_idx]
         if not child_tops:
-            return fresh_chain(bag) if bag else None
+            if not bag:
+                return None
+            return bridge(emit(frozenset({min(bag)}), "leaf", None, ()), bag)
         idx = child_tops[0]
         meet = bag & nodes[idx].bag
         for other in child_tops[1:]:
@@ -396,11 +388,10 @@ def parse_td(text: str) -> TreeDecomposition:
     return TreeDecomposition(bag_list, tuple(edges), 0)
 
 
-def write_td(td: TreeDecomposition, vertex_count: int | None = None) -> str:
-    n = vertex_count
-    if n is None:
-        n = max((max(b) + 1 for b in td.bags if b), default=0)
-    lines = [f"s td {len(td.bags)} {max((len(b) for b in td.bags), default=0)} {n}"]
+def write_td(td: TreeDecomposition, vertex_count: int) -> str:
+    """The decomposition as .td text, for a graph of vertex_count vertices."""
+    width_plus_1 = max((len(b) for b in td.bags), default=0)
+    lines = [f"s td {len(td.bags)} {width_plus_1} {vertex_count}"]
     for i, bag in enumerate(td.bags):
         lines.append(" ".join(["b", str(i + 1), *[str(v + 1) for v in sorted(bag)]]))
     lines.extend(f"{a + 1} {b + 1}" for a, b in td.edges)

@@ -13,10 +13,23 @@ bags: a program supplies a BagScheme built for one graph and one cost
 cap, with its leaf, introduce, forget and join operations and how to
 find the cheapest cost in a table, and every pruning rule belongs to it.
 
-Cost window.  When a scheme has a cost_cap, no table keeps a row
-(nine-state) or ledger entry (six-state) costing more than the table's
-minimum plus the number of bag vertices k.  This is exact for the
-optimum and for the family of minimum sets:
+Pruning.  A scheme built with a cost_cap prunes its tables; without one
+nothing is cut, so the tables are the full ones the paper's worked
+examples and traces show.  Costs never decrease along either program (an
+introduce adds selections, a forget keeps costs, a join charges at least
+each side's cost), so a row over the cap extends only to sets over it:
+a cap at least the size of some mixed dominating set loses neither the
+optimum nor any minimum set.  Each bag operation cuts the table it
+forms, except the six-state join, whose table its scheme cuts.  A cut
+applies the cost window below and, where flags.py says so, drops the
+dominated rows; flags.py gives that argument.  Every cut keeps its
+table's minimum, so the window stays exact, and the root bag's forgets
+are the same operation, so they are windowed too.
+
+Cost window.  Under a cap no table keeps a row (nine-state) or ledger
+entry (six-state) costing more than the table's minimum plus the number
+of bag vertices k.  This is exact for the optimum and for the family of
+minimum sets:
 
     Let R0 be the cheapest row, with partial solution S0, and R a row
     with partial solution S and cost(R) > cost(R0) + k.  Every processed
@@ -31,24 +44,6 @@ optimum and for the family of minimum sets:
     through a bag vertex).  Its size is at most cost(R0) + k + |F|, which
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
-
-The scheme contract: each operation returns its table already inside the
-window.  A leaf needs no cut: its costs are 0 and 1 in a one-vertex bag.
-An introduce keeps its child's minimum (it may select nothing), so both
-programs' introduces stop at the window while they build; so does the
-nine-state join, whose minimum is known before any pair is formed.  A
-forget drops rows and so may raise the minimum: the nine-state forget
-cuts the table forget_reduce built, and the six-state forget and join
-cut theirs.  Each cut is the dominated-row pass of flags.py, given the
-bag size, except the nine-state cut while enumerating, which keeps the
-dominated rows and only applies the window.  Every program keeps its
-table's minimum in that pass, so the window stays exact.  The root
-bag's forgets are the same operation, so they are windowed too; the
-argument holds at every bag, so gamma and the minimum sets do not
-change.
-
-Without a cost_cap nothing is cut, so the tables are the full ones the
-paper's worked examples and traces show.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -12,12 +13,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, fixture_text, path_graph
+from conftest import FIXTURES, fixture_text, partial_ktree, path_graph
 import mixdom
 from mixdom.cli import main
 from mixdom.graph import Graph, is_mixed_dominating_set, parse_gr, write_gr
 from mixdom.oracle import brute_force
-from mixdom.treedec import make_very_nice, min_fill_decompose, parse_td, validate_td
+from mixdom.treedec import (
+    make_very_nice,
+    min_fill_decompose,
+    parse_td,
+    postorder_traversal,
+    validate_td,
+)
 
 G1 = str(FIXTURES / "g1.gr")
 FIG_TD = str(FIXTURES / "fig1b.td")
@@ -129,6 +136,17 @@ def test_missing_file_exits_one(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "solve", "--graph", str(tmp_path / "absent.gr"))
     assert rc == 1
     assert "cannot read" in err
+
+
+def test_running_out_of_memory_exits_one(capsys, monkeypatch):
+    # a header such as "p tw 100000000000 0" makes Graph allocate more
+    # than a memory limit of a few GB allows
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("mixdom.cli.parse_gr", exhausted)
+    rc, out, err = run_cli(capsys, "solve", "--graph", G1)
+    assert (rc, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_validate_accepts_the_fixture(capsys):
@@ -568,6 +586,56 @@ def test_six_state_span_counts_read_run6_tables(monkeypatch):
         assert counted["ledger_entries"] == sum(map(len, result.rows.values())), span
         if span == "mds6.join":
             assert counted["rows_in"] == len(args[0].rows) + len(args[1].rows)
+
+
+def test_traced_forget_sees_the_table_the_walk_keeps(monkeypatch):
+    # the benchmark times and counts the nine-state forget by wrapping
+    # forget_reduce, so every row the walk drops at a forget must be gone
+    # when that wrapper returns: what it records is the table kept
+    from mixdom import dp
+    from mixdom.oracle import greedy_upper_bound
+
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/layers.py"))
+    module, attribute = layers["SPANS"]["dp.forget"]
+    count = layers["COUNTS"]["dp.forget"]
+    forget_reduce = getattr(importlib.import_module(module), attribute)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = forget_reduce(*args, **kwargs)
+        calls.append((len(result), count(args, result)["rows_out"], args, result))
+        return result
+
+    monkeypatch.setattr(dp, attribute, recorded)
+    rng = random.Random(5)
+    cases = [parse_gr(fixture_text("g1.gr"))]
+    cases += [partial_ktree(rng, 14, 3), partial_ktree(rng, 10, 4)]
+    for enumerate_sets in (False, True):
+        cut = 0
+        for g in cases:
+            ntd = make_very_nice(min_fill_decompose(g))
+            calls.clear()
+            res = dp.run_dp(
+                g,
+                ntd,
+                enumerate_sets=enumerate_sets,
+                collect_tables=True,
+                cost_cap=greedy_upper_bound(g),
+            )
+            kept = [
+                table
+                for idx, table in zip(postorder_traversal(ntd), res.tables)
+                if ntd.nodes[idx].kind == "forget"
+            ]
+            # the root bag's forgets come last and are not collected
+            assert len(calls) == len(kept) + len(ntd.nodes[ntd.root].bag)
+            for (at_return, counted, args, result), table in zip(calls, kept):
+                assert result is table
+                assert at_return == counted == len(table)
+                # the uncut forget of the same child, so the cases are
+                # known to exercise the cut
+                cut += len(forget_reduce(*args[:3])) > len(table)
+        assert cut, enumerate_sets
 
 
 def test_every_traced_span_fires(capsys, monkeypatch):
