@@ -12,6 +12,7 @@ _HOME = {
     "run_dp": "dp",
     "Graph": "graph",
     "MixedElement": "graph",
+    "greedy_upper_bound": "graph",
     "is_mixed_dominating_set": "graph",
     "mixed_closed_neighborhood": "graph",
     "neighbors": "graph",
@@ -22,15 +23,14 @@ _HOME = {
     "OracleResult": "oracle",
     "SizeGuardError": "oracle",
     "brute_force": "oracle",
-    "greedy_upper_bound": "oracle",
     "NiceTreeDecomposition": "treedec",
     "TreeDecomposition": "treedec",
     "make_very_nice": "treedec",
     "min_fill_decompose": "treedec",
-    "parse_td": "treedec",
     "postorder_traversal": "treedec",
-    "validate_td": "treedec",
-    "write_td": "treedec",
+    "parse_td": "tdfile",
+    "validate_td": "tdfile",
+    "write_td": "tdfile",
 }
 
 __all__ = sorted(_HOME)

@@ -2,7 +2,7 @@
 
 Subcommands: solve (dynamic programs or exhaustive search), decompose,
 validate, oracle, trace, and bench.  Graphs and decompositions travel in
-the 1-based text formats of graph.parse_gr and treedec.parse_td.
+the 1-based text formats of graph.parse_gr and tdfile.parse_td.
 
 Exit codes: 0 success, 1 unreadable or malformed input, unwritable
 output or out of memory, 2 decomposition problems (validation failure,
@@ -19,17 +19,13 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .graph import Graph, parse_gr
-from .oracle import SizeGuardError, brute_force, greedy_upper_bound
+from .graph import Graph, greedy_upper_bound, parse_gr
 from .treedec import (
     NiceTreeDecomposition,
     TreeDecomposition,
     make_very_nice,
     min_fill_decompose,
-    parse_td,
     postorder_traversal,
-    validate_td,
-    write_td,
 )
 
 if TYPE_CHECKING:
@@ -38,8 +34,9 @@ if TYPE_CHECKING:
 SCHEMA = "mixdom-report/1"
 
 
-# Each engine module is imported by the command that runs it.  run_dp and
-# run6 stay names of this module, where a profiler can patch them.
+# Each engine module is imported by the command that runs it, and so are
+# the oracle and the .td format (tdfile).  run_dp and run6 stay names of
+# this module, where a profiler can patch them.
 def run_dp(*args, **kwargs):
     from .dp import run_dp
 
@@ -80,6 +77,8 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_td(path: str) -> TreeDecomposition:
+    from .tdfile import parse_td
+
     try:
         return parse_td(_read_text(path))
     except ValueError as exc:
@@ -87,6 +86,8 @@ def _load_td(path: str) -> TreeDecomposition:
 
 
 def _problems(g: Graph, td: TreeDecomposition) -> list[str]:
+    from .tdfile import validate_td
+
     try:
         return validate_td(g, td)
     except ValueError as exc:
@@ -193,16 +194,20 @@ def _render_trace(g: Graph, ntd: NiceTreeDecomposition, tau, tables) -> str:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    if args.algo != "amds" and args.trace:
+    # by default the six-state program, unless sets or tables are asked for
+    algo = args.algo or ("amds" if args.enumerate or args.trace else "six")
+    if algo != "amds" and args.trace:
         raise CliError(2, "--trace requires --algo amds")
-    if args.algo == "six" and args.enumerate:
+    if algo == "six" and args.enumerate:
         raise CliError(2, "--algo six computes the number only; drop --enumerate")
 
     started = time.perf_counter()
     width = None
     # a given decomposition is read and checked whichever program runs
     td = _decomposition(g, args) if args.td else None
-    if args.algo == "oracle":
+    if algo == "oracle":
+        from .oracle import SizeGuardError, brute_force
+
         try:
             result = brute_force(g, enumerate_all=args.enumerate)
         except SizeGuardError as exc:
@@ -219,7 +224,7 @@ def cmd_solve(args) -> int:
         # pruning bound; traces show the full tables, so no cap there
         cap = None if args.trace else greedy_upper_bound(g)
         try:
-            if args.algo == "six":
+            if algo == "six":
                 gamma, min_sets = run6(g, ntd, tau=tau, cost_cap=cap).gamma, None
             else:
                 res = run_dp(
@@ -240,7 +245,7 @@ def cmd_solve(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "solve",
-        "algorithm": args.algo,
+        "algorithm": algo,
         "graph": {"vertices": g.vertex_count, "edges": g.edge_count},
         "width": width,
         "gamma": gamma,
@@ -254,6 +259,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .tdfile import write_td
+
     g = _load_graph(args.graph)
     td = min_fill_decompose(g)
     _emit(args, write_td(td, g.vertex_count))
@@ -374,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--algo",
         choices=("amds", "six", "oracle"),
-        default="amds",
-        help="nine-state program, six-state program, or exhaustive search",
+        help="nine-state program, six-state program, or exhaustive search"
+        " (default: six, or amds with --enumerate or --trace)",
     )
     solve.add_argument(
         "--enumerate",

@@ -110,6 +110,7 @@ equal cost may still lead to minimum sets of its own.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 
 MEMBER, MARKED, DOMINATED, WAITING = 1, 2, 4, 8
 
@@ -157,6 +158,10 @@ class Steps(dict):
 
     def __missing__(self, word: int) -> tuple[int, ...]:
         bytes_ = word.to_bytes(self.width, "little")
+        if self.width == len(self.slots):
+            # no edge slots: each vertex byte's amounts as they are
+            found = self[word] = sum(map(getitem, self.slots, bytes_), ())
+            return found
         clear = ~word  # the flags the word does not set
         out = []
         for slot, marks, byte in zip(self.slots, self.marks, bytes_):

@@ -245,6 +245,26 @@ def is_mixed_dominating_set(g: Graph, s: int | Iterable[MixedElement]) -> bool:
     return covered == (1 << g.element_count) - 1
 
 
+def greedy_upper_bound(g: Graph) -> int:
+    """Size of an easily constructed mixed dominating set.
+
+    Take a maximal matching plus every unmatched vertex (n - |matching|
+    elements in total).  Each matching edge dominates itself, both its
+    endpoints, and every edge sharing one endpoint; by maximality every
+    other edge touches the matching; unmatched vertices dominate
+    themselves.  The dynamic programs use this as an exact pruning bound:
+    table rows costing more can never reach a minimum solution.
+    """
+    matched = [False] * g.vertex_count
+    matching = 0
+    for eid in range(g.edge_count):
+        u, v = g.endpoints(eid)
+        if not matched[u] and not matched[v]:
+            matched[u] = matched[v] = True
+            matching += 1
+    return g.vertex_count - matching
+
+
 # -- .gr serialization (1-based on disk, 0-based in memory) ---------------
 
 

@@ -15,13 +15,10 @@ states behave identically onward, six vertex states remain:
     7  undominated, owning an undominated edge
 
 Rows map a state tuple to a cost ledger: how many branch outcomes realize
-the tuple at each cost.  The counts ride along so that a join can run
-through the per-slot zeta transform of the state lattice that _supremum
-defines (generalised fast subset convolution, van Rooij, Bodlaender and
-Rossmanith, ESA 2009): two tables multiply pointwise and the true pair
-counts come back by Moebius inversion; exact integers keep the inversion
-lossless.  A join of two capped tables with few rows pairs them instead
-(Pair join, below).
+the tuple at each cost.  The counts ride along so that a join of full
+tables can run through the lattice transform of transform6.py, whose
+Moebius inversion needs exact counts.  A join of two capped tables with
+few rows pairs them instead (Pair join, below).
 
 Flag words.  Inside the engine a row is keyed by an integer with one
 byte per bag vertex, slot i in bits 8i..8i+7 (vertices ascending), each
@@ -62,34 +59,14 @@ hand.  Their introduces add each child entry, times the branches that
 give it, at the entry's cost plus the branch's; their forgets add up
 ledgers; their joins always run transform_join6.
 
-Packed ledgers.  Inside the transforms (transform_join6, zeta6 and
-moebius6), a ledger {cost: count} is one integer, the sum of
-count * 2^(w * (cost - base)), with fields of w bits (Kronecker
-substitution; Harvey, 2009).  A table's ledgers share one w and one
-base, the table's cheapest cost, so an int holds only the few fields of
-the cost window above it, not one field per cost from 0.  As long as no
-field overflows, packing is exact and linear: the sum of packed ints is
-the packed sum, so the per-slot transforms run on packed ints
-unchanged, and the product of two packed ints is the packed product of
-their ledgers, field c holding the sum of count_a(i) * count_b(c - i).
-One integer operation thus does the work of a loop over a ledger.
-
-Fields are signed, so a packed int also holds the negative counts a
-Moebius inversion of a non-image produces.  _width(bound) gives bound's
-bits plus a sign bit, where bound caps the absolute value of every field
-a transform forms, intermediate ones included: the sum of absolute
-counts for zeta6 and moebius6 (their coefficients are 0 and +-1, and
-each input entry reaches each output entry once), and the product of
-the two count totals for transform_join6.  Tables leave each transform
-as dicts again.
-
 Pair join.  When both tables are capped, join6 picks its method from a
 count it makes before it forms any pair.  Rows merge only when the
 MEMBER bits of their flag words agree.  Within such a group the OR of
 two bytes, with WAITING cleared under MARKED, is their supremum: two
 members are M+D; among the other states the dominated and the owing
 flags are each set when either side sets them, which is how _supremum
-merges 4, 5, 6 and 7, and a 3 on either side leaves K+D, the top.  A
+(transform6.py) merges 4, 5, 6 and 7, and a 3 on either side leaves
+K+D, the top.  A
 pair's ledger is the one entry (cost_a + cost_b - members,
 count_a * count_b), members being the group's, which both sides select.
 The rows of a bag of k vertices form the sum over groups of
@@ -105,7 +82,7 @@ tuple, so every join with a full table runs the transform.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import repeat
 from math import comb
 from typing import NamedTuple
 
@@ -126,7 +103,6 @@ CostLedger = dict[int, int]
 Rows6 = dict[tuple, CostLedger]
 
 IN_SOLUTION = 1
-EDGE_MARK = 3
 STATES = (1, 3, 4, 5, 6, 7)
 
 # A state as a vertex byte of the flag words (module docstring, "Flag
@@ -143,45 +119,6 @@ _FLAGS = {
 }
 _TO_FLAGS = bytes.maketrans(bytes(_FLAGS), bytes(_FLAGS.values()))
 _FROM_FLAGS = bytes.maketrans(bytes(_FLAGS.values()), bytes(_FLAGS))
-
-
-def _supremum(a: int, b: int) -> int | None:
-    """The merge of two states, their least upper bound in the state
-    lattice: 5 below 4 and 7, both below 6, 3 on top, and 1 apart, since
-    membership must agree (None when it does not)."""
-    if (a == IN_SOLUTION) != (b == IN_SOLUTION):
-        return None
-    if a == IN_SOLUTION:
-        return IN_SOLUTION
-    if EDGE_MARK in (a, b):
-        return EDGE_MARK
-    dominated = a in (4, 6) or b in (4, 6)
-    pending = a in (6, 7) or b in (6, 7)
-    if dominated:
-        return 6 if pending else 4
-    return 7 if pending else 5
-
-
-def _below(s: int, x: int) -> bool:
-    return _supremum(s, x) == x
-
-
-def _moebius_row(y: int) -> tuple[tuple[int, int], ...]:
-    """(x, mu(y, x)) for every x with mu(y, x) != 0, where mu is the
-    lattice's Moebius function: mu(y, y) = 1 and, for y < x, mu(y, x) is
-    minus the sum of mu(y, z) over y <= z < x.  States are visited in
-    order of how many states lie below them, so each z comes before x."""
-    mu: dict[int, int] = {}
-    for x in sorted(STATES, key=lambda x: sum(_below(z, x) for z in STATES)):
-        if _below(y, x):
-            mu[x] = 1 if x == y else -sum(m for z, m in mu.items() if _below(z, x))
-    return tuple((x, m) for x, m in mu.items() if m)
-
-
-# The per-slot zeta and Moebius maps of the lattice.  Transform
-# coordinates are labeled by states: coordinate x sums the states below x.
-_ZETA = {s: tuple(((x,), 1) for x in STATES if _below(s, x)) for s in STATES}
-_MOEBIUS = {y: tuple(((x,), m) for x, m in _moebius_row(y)) for y in STATES}
 
 
 class _Words(NamedTuple):
@@ -240,27 +177,6 @@ def _add(ledger: CostLedger, cost: int, count: int) -> None:
     ledger[cost] = ledger.get(cost, 0) + count
 
 
-def _width(bound: int) -> int:
-    """Field width for the packed ledgers of a transform whose fields
-    never exceed bound in absolute value: its bits plus a sign bit."""
-    return bound.bit_length() + 1
-
-
-def _base_total(ledgers) -> tuple[int, int]:
-    """The cheapest cost in some ledgers, and the sum of their absolute
-    counts."""
-    ledgers = list(ledgers)
-    base = min(map(min, ledgers), default=0)
-    return base, sum(map(abs, chain.from_iterable(map(dict.values, ledgers))))
-
-
-def _pack(ledger: CostLedger, w: int, base: int) -> int:
-    x = 0
-    for cost, count in ledger.items():
-        x += count << w * (cost - base)
-    return x
-
-
 def _ledgers(table: SixTable):
     """The {cost: count} ledger of every row, in the order of its words."""
     if table.capped:
@@ -281,26 +197,6 @@ def _low(rows: dict[int, list]) -> int | None:
     return min(rows.values())[0] if rows else None
 
 
-def _unpack(x: int, w: int, base: int) -> CostLedger:
-    """The ledger of a packed int with signed w-bit fields, field 0 at
-    cost base; zero fields are left out."""
-    mask = ~(-1 << w)
-    half = mask >> 1
-    if 0 < x <= half:
-        return {base: x}
-    ledger: CostLedger = {}
-    while x:
-        field = x & mask
-        x >>= w
-        if field > half:
-            field -= mask + 1
-            x += 1
-        if field:
-            ledger[base] = field
-        base += 1
-    return ledger
-
-
 def leaf6(g: Graph, bag_vertices) -> SixTable:
     bag = tuple(bag_vertices)
     if len(bag) != 1:
@@ -311,34 +207,23 @@ def leaf6(g: Graph, bag_vertices) -> SixTable:
 class _Branches(dict):
     """The _outcomes of an introduce at slot pos with neighbours at slots
     nbrs, by child word masked to the neighbours' bytes, each built the
-    first time it is looked up: for a capped table, per delta its
-    cheapest (cost, delta, branches), sorted by cost; for a full table,
-    per delta its (delta, [(cost, branches)])."""
+    first time it is looked up."""
 
-    def __init__(self, pos: int, nbrs: tuple[int, ...], capped: bool):
+    def __init__(self, pos: int, nbrs: tuple[int, ...]):
         super().__init__()
         self.pos = pos
         self.nbrs = nbrs
-        self.capped = capped
         self.mask = 0
         for i in nbrs:
             self.mask |= 0xFF << 8 * (i - (i > pos))
 
     def __missing__(self, masked: int) -> list:
-        found = _outcomes(self.pos, self.nbrs, masked)
-        if self.capped:
-            found = sorted([(led[0][0], delta, led[0][1]) for delta, led in found])
-        self[masked] = found
+        found = self[masked] = _outcomes(self.pos, self.nbrs, masked)
         return found
 
 
+# one _Branches per bag slot and neighbour slots, kept across walks
 _shape = lru_cache(maxsize=4096)(_Branches)
-
-
-@lru_cache(maxsize=None)
-def _selected(cost: int, kept: int) -> tuple[tuple[int, int], ...]:
-    """(cost + j, C(kept, j)) for j = 0 .. kept."""
-    return tuple((cost + j, comb(kept, j)) for j in range(kept + 1))
 
 
 def _outcomes(pos: int, nbrs: tuple[int, ...], masked: int) -> list[tuple]:
@@ -347,52 +232,84 @@ def _outcomes(pos: int, nbrs: tuple[int, ...], masked: int) -> list[tuple]:
     over the vertex's membership, each new edge's membership, and who owns
     each new edge that comes out undominated.  A branch rewrites only the
     bytes of the vertex and its neighbours, so it adds a fixed delta to
-    the moved child word at a fixed cost.  Returns each delta with its
-    costs and how many branches give each, cheapest first.
+    the moved child word at a fixed cost.  Returns (cost, delta, ways) per
+    branch, its cheapest cost and how many ways it is taken at that cost.
 
     Each neighbour's byte depends only on its own edge's choice, and the
     vertex's byte tells the three kinds of branch apart, so the deltas are
     sums over the neighbours, one per subset of the neighbours whose
     choice shows.  A member or marked neighbour (1, 3) keeps its byte
-    whether its edge is selected or not: selecting j of those kept edges
-    adds j to the cost in C(kept, j) ways.  A neighbour that already owns
+    whether its edge is selected or not: a branch that selects anything
+    may also select j of those kept edges, adding j to its cost in
+    C(kept, j) ways (_full_ledgers), so its cheapest cost selects none of
+    them, except in the branch that marks the vertex through kept edges
+    alone, which selects one in kept ways.  A neighbour that already owns
     an edge (6, 7) keeps its byte whether it owns the new edge or the
     vertex does."""
-    olds = [(masked >> 8 * (i - (i > pos)) & 0xFF, 8 * i) for i in nbrs]
-    kept = sum(1 for b, _ in olds if b & (MEMBER | MARKED))
-    others = [(b, shift) for b, shift in olds if not b & (MEMBER | MARKED)]
-    out = []
-    for dv in (0, 1):
-        # v selected (member) or, with a selected edge, marked; either
-        # way every unselected new edge is dominated from v's side
-        deltas = [(MEMBER | DOMINATED if dv else MARKED | DOMINATED) << 8 * pos]
-        costs = [dv]
-        for b, shift in others:
-            unselected = (b | DOMINATED if dv else b) - b << shift
-            selected = (MARKED | DOMINATED) - b << shift
-            deltas = [d + unselected for d in deltas] + [d + selected for d in deltas]
-            costs += [c + 1 for c in costs]
-        for delta, cost in zip(deltas, costs):
-            # selecting nothing at all is a branch of the kind below
-            out.append((delta, _selected(cost, kept)[cost == 0:]))
-    # nothing selected: new edges at member or marked neighbours are
-    # dominated, each other one is owned by v or by its neighbour
-    v_byte = (DOMINATED if any(b & MEMBER for b, _ in olds) else 0) << 8 * pos
-    v_owns = WAITING << 8 * pos
-    deltas = [0]
+    v = 8 * pos
+    kept = 0
+    v_byte = 0  # v's byte when nothing is selected
+    others = []
+    for i in nbrs:
+        b = masked >> 8 * (i - (i > pos)) & 0xFF
+        if b & (MEMBER | MARKED):
+            kept += 1
+            if b & MEMBER:
+                v_byte = DOMINATED << v
+        else:
+            others.append((b, 8 * i))
+    # per subset of the other neighbours' edges selected: how many, their
+    # delta with v marked, and with v selected, which also dominates the
+    # edges left unselected.  With nothing selected, new edges at member
+    # or marked neighbours are dominated, and each other one is owned by v
+    # or by its neighbour: deltas, per subset of the neighbours without an
+    # edge that own the new one
+    costs = [0]
+    marking = [(MARKED | DOMINATED) << v]
+    joining = [(MEMBER | DOMINATED) << v]
+    deltas = [v_byte]
     waiting = 0  # neighbours that own an edge already
     for b, shift in others:
+        selected = (MARKED | DOMINATED) - b << shift
+        dominated = (b | DOMINATED) - b << shift
+        costs += [c + 1 for c in costs]
+        marking += [d + selected for d in marking]
+        joining = [d + dominated for d in joining] + [d + selected for d in joining]
         if b & WAITING:
             waiting += 1
         else:
             deltas += [d + (WAITING << shift) for d in deltas]
+    # the empty subset with v marked selects kept edges alone, at least
+    # one; selecting nothing at all is a branch of the kind below
+    out = [(1, marking[0], kept)] if kept else []
+    out += zip(costs[1:], marking[1:], repeat(1))
+    out += zip([c + 1 for c in costs], joining, repeat(1))
     # the last delta has every neighbour without an edge owning one
+    v_owns = WAITING << v
     *some, every = deltas
-    out += [(d + v_byte + v_owns, [(0, 1 << waiting)]) for d in some]
-    out.append((every + v_byte, [(0, 1)]))
+    out += zip(repeat(0), [d + v_owns for d in some], repeat(1 << waiting))
+    out.append((0, every, 1))
     if waiting:
-        out.append((every + v_byte + v_owns, [(0, (1 << waiting) - 1)]))
-    return [entry for entry in out if entry[1]]
+        out.append((0, every + v_owns, (1 << waiting) - 1))
+    return out
+
+
+def _full_ledgers(branches: list[tuple], kept: int, only_kept: int) -> list[tuple]:
+    """The branches of _outcomes with their whole ledgers, (delta,
+    [(cost, ways)]), for the introduce of a full table.  A branch that
+    selects anything costs at least 1 and may also select j of the kept
+    edges, j more in C(kept, j) ways; the one that selects kept edges
+    alone adds only_kept, the vertex's MARKED|DOMINATED byte, and takes
+    at least one of them.  A branch that selects nothing costs 0."""
+    out = []
+    for cost, delta, ways in branches:
+        if cost:
+            least = delta == only_kept
+            entries = [(cost - least + j, comb(kept, j)) for j in range(least, kept + 1)]
+            out.append((delta, entries))
+        else:
+            out.append((delta, [(0, ways)]))
+    return out
 
 
 def introduce6(
@@ -414,7 +331,7 @@ def introduce6(
     nbrs = tuple(
         i for i, u in enumerate(vertices) if i != pos and g.has_edge(v_new, u)
     )
-    branches = _shape(pos, nbrs, cost_cap is not None)
+    branches = _shape(pos, nbrs)
     mask = branches.mask
     below = ~(-1 << 8 * pos)  # the bytes of the slots before pos
     if cost_cap is not None:
@@ -429,7 +346,7 @@ def introduce6(
             base = (cword & below) | (cword & ~below) << 8
             for shift, delta, ways in branches[cword & mask]:
                 if shift > budget:
-                    break
+                    continue
                 word = base + delta
                 cost = ccost + shift
                 entry = get(word)
@@ -438,10 +355,18 @@ def introduce6(
                 elif cost == entry[0]:
                     entry[1] += count * ways
         return _undominated(_table(vertices, out, True), window=False)
+    keeps = byte_ones(len(vertices)) * (MEMBER | MARKED)
+    only_kept = (MARKED | DOMINATED) << 8 * pos
+    full: dict[int, list] = {}
     rows: dict[int, CostLedger] = {}
     for cword, ledger in zip(table.words, _ledgers(table)):
         base = (cword & below) | (cword & ~below) << 8
-        for delta, shifts in branches[cword & mask]:
+        masked = cword & mask
+        found = full.get(masked)
+        if found is None:
+            kept = (masked & keeps).bit_count()
+            found = full[masked] = _full_ledgers(branches[masked], kept, only_kept)
+        for delta, shifts in found:
             tgt = rows.setdefault(base + delta, {})
             for s, ways in shifts:
                 for cost, count in ledger.items():
@@ -484,44 +409,6 @@ def forget6(table: SixTable, forgotten: int) -> SixTable:
     return _table(vertices, rows, False)
 
 
-def _transform(packed: dict[tuple, int], mapping: dict) -> dict[tuple, int]:
-    """Apply a per-slot linear map (zeta or its inverse) slot by slot to
-    packed ledgers."""
-    cur = packed
-    for i in range(len(next(iter(packed), ()))):
-        nxt: dict[tuple, int] = {}
-        for key, x in cur.items():
-            head, tail = key[:i], key[i + 1:]
-            for target, sign in mapping[key[i]]:
-                k = head + target + tail
-                nxt[k] = nxt.get(k, 0) + (x if sign > 0 else -x)
-        cur = nxt
-    return cur
-
-
-def _transform_rows(rows: Rows6, mapping: dict) -> Rows6:
-    base, total = _base_total(rows.values())
-    w = _width(total)
-    packed = {key: _pack(ledger, w, base) for key, ledger in rows.items()}
-    return {
-        key: _unpack(x, w, base)
-        for key, x in _transform(packed, mapping).items()
-        if x
-    }
-
-
-def zeta6(rows: Rows6) -> Rows6:
-    """Per-slot zeta transform: coordinate x of a slot sums the ledgers of
-    every state below x in the state lattice.  Zero counts and empty
-    ledgers are left out."""
-    return _transform_rows(rows, _ZETA)
-
-
-def moebius6(rows: Rows6) -> Rows6:
-    """Inverse of zeta6, without zero counts and empty ledgers."""
-    return _transform_rows(rows, _MOEBIUS)
-
-
 def _by_members(words, members: int) -> dict[int, list[int]]:
     """Flag words grouped by their bits in members."""
     groups: dict[int, list[int]] = {}
@@ -556,6 +443,8 @@ def join6(
     groups_b = _by_members(b.words, ones * MEMBER)
     pairs = sum(len(g) * len(groups_b.get(m, ())) for m, g in groups_a.items())
     if not (a.capped and b.capped) or pairs > 6 ** k:
+        from .transform6 import transform_join6
+
         if stats is not None:
             stats["pairs"] = 0
         return transform_join6(a, b, stats, cost_cap)
@@ -585,64 +474,6 @@ def join6(
                 else:
                     ledger[cost] = ledger.get(cost, 0) + na * nb
     return _table(a.vertices, rows, False)
-
-
-def transform_join6(
-    a: SixTable,
-    b: SixTable,
-    stats: dict | None = None,
-    cost_cap: int | None = None,
-) -> SixTable:
-    """Join through the lattice transform: zeta-transform both tables,
-    multiply ledgers pointwise, invert by Moebius, and shift costs by the
-    doubly selected vertices.  Coordinate x of the product counts the pairs
-    whose supremum lies below x, so the inversion yields the pair counts of
-    every supremum while touching at most 6^k transform tuples instead of
-    pairing rows quadratically.  The transform runs on state tuples, so the
-    rows are decoded on the way in and encoded on the way out.
-
-    Ledgers are packed (see the module docstring) with field 0 at each
-    table's cheapest cost, so one multiply forms a key's whole product
-    ledger.  Every product field, and every field on the way through the
-    inversion, counts a set of pairs, so it is at most the product of the
-    two tables' count totals; that bound sets the field width.
-
-    With a cost cap, product entries that can only feed capped-away costs
-    are dropped early.  A transform key fixes which slots both sides
-    selected (its IN_SOLUTION slots, each charged doubly), so the final
-    cost of an entry is known up to that constant shift, and masking off
-    the fields above the cap keeps exact counts in the fields below it: no
-    field is negative, so none borrows from the next.  The mask is built
-    only when the product reaches past the cap, so a cap far above the
-    tables' costs (a star's greedy cap is about n) costs nothing.
-    """
-    if a.vertices != b.vertices:
-        raise ValueError("join children must share the same bag")
-    base_a, total_a = _base_total(_ledgers(a))
-    base_b, total_b = _base_total(_ledgers(b))
-    w = _width(total_a * total_b)
-    za = _transform({k: _pack(led, w, base_a) for k, led in a.rows.items()}, _ZETA)
-    zb = _transform({k: _pack(led, w, base_b) for k, led in b.rows.items()}, _ZETA)
-    if stats is not None:
-        stats["transform_tuples"] = len(za.keys() | zb.keys())
-    product: dict[tuple, int] = {}
-    for key in za.keys() & zb.keys():
-        x = za[key] * zb[key]
-        if cost_cap is not None:
-            keep = w * max(cost_cap + key.count(IN_SOLUTION) - base_a - base_b + 1, 0)
-            if x.bit_length() > keep:
-                x &= ~(-1 << keep)
-        if x:
-            product[key] = x
-    rows: Rows6 = {}
-    for key, x in _transform(product, _MOEBIUS).items():
-        if not x:
-            continue
-        ledger = _unpack(x, w, base_a + base_b - key.count(IN_SOLUTION))
-        if any(count < 0 for count in ledger.values()):
-            raise AssertionError(f"negative pair count at {key}")
-        rows[key] = ledger
-    return SixTable(a.vertices, rows)
 
 
 def _undominated(table: SixTable, window: bool) -> SixTable:
@@ -699,3 +530,16 @@ def run6(
     """
     _, gamma, tables = walk(g, ntd, _SixState(g, cost_cap), tau, collect_tables)
     return Run6Result(gamma, tables)
+
+
+# Names of the full-table join, which moved to transform6.py; reading one
+# here loads that module.
+_MOVED = {"_supremum", "moebius6", "transform_join6", "zeta6"}
+
+
+def __getattr__(name: str):
+    if name in _MOVED:
+        from . import transform6
+
+        return getattr(transform6, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .graph import Graph, domination_masks
+from .graph import greedy_upper_bound as greedy_upper_bound  # its old import path
 
 # Subset enumeration is exponential in |V| + |E|; large enough for the
 # n <= 8 random test suite (up to 8 vertices + 28 edges), small enough to
@@ -31,26 +32,6 @@ class OracleResult(NamedTuple):
 
     gamma: int
     min_sets: frozenset[int] | None = None
-
-
-def greedy_upper_bound(g: Graph) -> int:
-    """Size of an easily constructed mixed dominating set.
-
-    Take a maximal matching plus every unmatched vertex (n - |matching|
-    elements in total).  Each matching edge dominates itself, both its
-    endpoints, and every edge sharing one endpoint; by maximality every
-    other edge touches the matching; unmatched vertices dominate
-    themselves.  The dynamic programs use this as an exact pruning bound:
-    table rows costing more can never reach a minimum solution.
-    """
-    matched = [False] * g.vertex_count
-    matching = 0
-    for eid in range(g.edge_count):
-        u, v = g.endpoints(eid)
-        if not matched[u] and not matched[v]:
-            matched[u] = matched[v] = True
-            matching += 1
-    return g.vertex_count - matching
 
 
 def brute_force(g: Graph, enumerate_all: bool = False) -> OracleResult:

@@ -3,7 +3,8 @@
 introduce_combine and join_combine merge decoded nine-state rows through
 the ⋆_int/∗_int and ⋆_join/∗_join tables of tables.py in one pair-merge
 kernel (_merge_pairs); direct_join6 merges six-state rows by their
-supremum.  They are the specification the engine is checked against, and
+supremum, and direct_introduce6 branches six-state rows one choice at a
+time.  They are the specification the engine is checked against, and
 the engine (dp.py, mds6.py) never calls them: run_dp merges flag words in
 its own kernel, and run6 joins flag words or runs the lattice transform.
 Neither the engine modules nor the CLI import this module or tables.py.
@@ -11,10 +12,13 @@ Neither the engine modules nor the CLI import this module or tables.py.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .dp import StateTable
 from .graph import Graph
-from .mds6 import IN_SOLUTION, Rows6, SixTable, _add, _supremum
+from .mds6 import IN_SOLUTION, Rows6, SixTable, _add
 from .tables import AST_INT, AST_JOIN, STAR_INT, STAR_JOIN, PoisonCellError
+from .transform6 import _supremum
 
 
 def _member_mask(states, k: int) -> int:
@@ -212,3 +216,57 @@ def direct_join6(
             if not tgt:
                 del rows[key]
     return SixTable(a.vertices, rows)
+
+
+# A six-state vertex once it owns an undominated edge, and once a selected
+# neighbour dominates it (mds6.py module docstring).
+_OWNING = {4: 6, 5: 7, 6: 6, 7: 7}
+_DOMINATED = {4: 4, 5: 4, 6: 6, 7: 6}
+
+
+def direct_introduce6(g: Graph, table: SixTable, v_new: int) -> SixTable:
+    """The full table of introducing v_new, from what the six states
+    mean, one branch at a time: v_new selected or not, each new edge (to
+    a bag neighbour) selected or not, and for each new edge left
+    undominated an owner, v_new or the neighbour.  A branch costs the
+    elements it selects, and each child ledger entry adds its count to
+    the branch's row at the entry's cost plus the branch's."""
+    vertices = tuple(sorted(table.vertices + (v_new,)))
+    pos = vertices.index(v_new)
+    nbrs = [i for i, u in enumerate(vertices) if i != pos and g.has_edge(v_new, u)]
+    rows: Rows6 = {}
+    for key, ledger in table.rows.items():
+        old = key[:pos] + (None,) + key[pos:]
+        for v_in, *chosen in product((False, True), repeat=1 + len(nbrs)):
+            picked = [i for i, c in zip(nbrs, chosen) if c]
+            state = list(old)
+            for i in nbrs:
+                if i in picked:
+                    # a selected edge marks its end, or keeps a member
+                    state[i] = old[i] if old[i] == IN_SOLUTION else 3
+                elif v_in:
+                    state[i] = _DOMINATED.get(old[i], old[i])
+            # an unselected new edge is dominated by a selected end, or by
+            # a selected edge at an end: a marked neighbour, or one at v
+            undominated = [
+                i for i in nbrs
+                if not (v_in or picked or old[i] in (IN_SOLUTION, 3))
+            ]
+            v_dominated = any(old[i] == IN_SOLUTION for i in nbrs)
+            for owners in product((False, True), repeat=len(undominated)):
+                out = list(state)
+                for i, by_neighbour in zip(undominated, owners):
+                    if by_neighbour:
+                        out[i] = _OWNING[out[i]]
+                v_owns = not all(owners)
+                if v_in:
+                    out[pos] = IN_SOLUTION
+                elif picked:
+                    out[pos] = 3
+                else:
+                    out[pos] = {(True, False): 4, (False, False): 5,
+                                (True, True): 6, (False, True): 7}[v_dominated, v_owns]
+                tgt = rows.setdefault(tuple(out), {})
+                for cost, count in ledger.items():
+                    _add(tgt, cost + v_in + len(picked), count)
+    return SixTable(vertices, rows)

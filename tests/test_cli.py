@@ -45,7 +45,7 @@ def run_json(capsys, *argv):
 def test_solve_reports_the_domination_number(capsys):
     report = run_json(capsys, "solve", "--graph", G1)
     assert report["schema"] == "mixdom-report/1"
-    assert report["algorithm"] == "amds"
+    assert report["algorithm"] == "six"
     assert report["graph"] == {"vertices": 5, "edges": 6}
     assert report["width"] == 2
     assert report["gamma"] == 2
@@ -359,6 +359,22 @@ def test_unusable_decomposition_exits_two(capsys, tmp_path, command, td_text, me
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["solve", "trace", "validate"])
+def test_a_header_for_another_vertex_count_exits_two(capsys, tmp_path, command):
+    # the bags fit the 3-vertex path, but the header declares 99 vertices
+    graph = tmp_path / "p3.gr"
+    graph.write_text("p tw 3 2\n1 2\n2 3\n")
+    td = tmp_path / "t.td"
+    td.write_text("s td 1 3 99\nb 1 1 2 3\n")
+    rc, out, err = run_cli(capsys, command, "--graph", str(graph), "--td", str(td))
+    assert rc == 2
+    assert out == ""
+    assert "header declares 99 vertices, the graph has 3" in err
+    td.write_text("s td 1 3 3\nb 1 1 2 3\n")
+    rc, _, err = run_cli(capsys, command, "--graph", str(graph), "--td", str(td))
+    assert rc == 0, err
+
+
 @pytest.mark.parametrize(
     "option, value",
     [
@@ -523,7 +539,7 @@ def test_importing_the_cli_loads_no_engine():
 def test_solve_does_not_import_the_reference_joins():
     # one fresh interpreter per mode, so each mode's engine is seen apart
     for extra, engine, other in [
-        ([], "mixdom.dp", "mixdom.mds6"),
+        ([], "mixdom.mds6", "mixdom.dp"),
         (["--enumerate"], "mixdom.dp", "mixdom.mds6"),
         (["--algo", "six"], "mixdom.mds6", "mixdom.dp"),
     ]:
@@ -538,6 +554,71 @@ def test_solve_does_not_import_the_reference_joins():
         assert "mixdom.flags" in modules, extra
         assert "dataclasses" not in modules
         assert "random" not in modules
+
+
+def test_the_default_algorithm_follows_the_mode(capsys, tmp_path):
+    trace = tmp_path / "trace.txt"
+    for extra, algo in [
+        ([], "six"),
+        (["--enumerate"], "amds"),
+        (["--trace", str(trace)], "amds"),
+        (["--algo", "amds"], "amds"),
+        (["--algo", "oracle"], "oracle"),
+    ]:
+        report = run_json(capsys, "solve", "--graph", G1, *extra)
+        assert (report["algorithm"], report["gamma"]) == (algo, 2), extra
+    assert trace.read_text().startswith("bag 1: leaf")
+
+
+def test_a_run_loads_only_the_modules_it_runs():
+    # a capped six-state solve compiles neither the full-table join, the
+    # .td format, the oracle, the nine-state engine nor the reference
+    modules = loaded_modules(
+        "from mixdom.cli import main",
+        f"assert main(['solve', '--graph', {G1!r}, '--algo', 'six']) == 0",
+    )
+    assert "mixdom.mds6" in modules
+    assert not modules & {
+        "mixdom.transform6",
+        "mixdom.tdfile",
+        "mixdom.oracle",
+        "mixdom.dp",
+        "mixdom.reference",
+    }
+    for extra, module in [
+        (["--td", FIG_TD], "mixdom.tdfile"),
+        (["--algo", "oracle"], "mixdom.oracle"),
+    ]:
+        modules = loaded_modules(
+            "from mixdom.cli import main",
+            f"assert main(['solve', '--graph', {G1!r}, *{extra!r}]) == 0",
+        )
+        assert module in modules, extra
+    assert "mixdom.transform6" in loaded_modules(
+        "from mixdom.mds6 import transform_join6"
+    )
+    assert "mixdom.tdfile" in loaded_modules("from mixdom.treedec import parse_td")
+
+
+def test_join6_of_full_tables_loads_the_transform_in_a_fresh_interpreter():
+    # the reference's _supremum also lives in the transform module, so
+    # the reference is imported only after join6 has run
+    lines = [
+        "import random",
+        "from itertools import product",
+        "from mixdom.mds6 import SixTable, join6",
+        "rng = random.Random(5)",
+        "keys = list(product((1, 3, 4, 5, 6, 7), repeat=2))",
+        "a, b = (SixTable((0, 1), {k: {rng.randrange(3): rng.randrange(1, 4)}"
+        " for k in rng.sample(keys, 20)}) for _ in range(2))",
+        "assert 'mixdom.transform6' not in sys.modules",
+        "joined = {cap: join6(a, b, cost_cap=cap).rows for cap in (None, 3)}",
+        "assert 'mixdom.transform6' in sys.modules",
+        "from mixdom.reference import direct_join6",
+        "for cap, rows in joined.items():",
+        "    assert rows == direct_join6(a, b, cost_cap=cap).rows",
+    ]
+    assert "mixdom.transform6" in loaded_modules(*lines)
 
 
 def test_every_traced_name_is_a_callable():
@@ -662,7 +743,7 @@ def test_every_traced_span_fires(capsys, monkeypatch):
     kinds = {node.kind for node in make_very_nice(min_fill_decompose(g)).nodes}
     assert kinds == {"leaf", "introduce", "forget", "join"}
     cli = importlib.import_module("mixdom.cli")
-    for extra in ([], ["--algo", "six"]):
+    for extra in (["--algo", "amds"], ["--algo", "six"]):
         assert cli.main(["solve", "--graph", G1, *extra]) == 0
     capsys.readouterr()
     assert [span for span, count in calls.items() if not count] == []

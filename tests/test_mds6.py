@@ -35,7 +35,7 @@ from mixdom.mds6 import (
     zeta6,
 )
 from mixdom.oracle import brute_force, greedy_upper_bound
-from mixdom.reference import direct_join6
+from mixdom.reference import direct_introduce6, direct_join6
 from mixdom.treedec import (
     make_very_nice,
     min_fill_decompose,
@@ -565,6 +565,34 @@ def test_capped_tables_are_the_cut_uncapped_operations_on_partial_ktrees():
     root = random.Random(61).randrange(len(td.bags))
     assert root != td.root
     _check_capped_walk(g, make_very_nice(td, root=root), greedy_upper_bound(g))
+
+
+def test_introduce6_is_the_introduce_written_from_the_states():
+    # every row of child bags of 0 to 3 vertices, the new vertex at every
+    # slot and adjacent to every subset of the bag: the full table,
+    # counts included, is direct_introduce6's, and the capped one is the
+    # cut of the full introduce of the capped child
+    rng = random.Random(67)
+    for k in range(4):
+        keys = list(product((1, 3, 4, 5, 6, 7), repeat=k))
+        ledgers = {}
+        for key in keys:
+            low = rng.randrange(3)
+            ledgers[key] = {low: rng.randint(1, 4), low + rng.randint(1, 2): rng.randint(1, 4)}
+        cheapest = {key: (min(led), led[min(led)]) for key, led in ledgers.items()}
+        for pos in range(k + 1):
+            bag = tuple(i for i in range(k + 1) if i != pos)
+            full = SixTable(bag, ledgers)
+            capped = _capped(bag, cheapest)
+            for chosen in product((False, True), repeat=k):
+                edges = [tuple(sorted((pos, u))) for u, c in zip(bag, chosen) if c]
+                g = Graph(k + 1, edges)
+                expected = direct_introduce6(g, full, pos)
+                assert introduce6(g, full, pos).rows == expected.rows, (bag, edges)
+                uncut = direct_introduce6(g, SixTable(bag, capped.rows), pos)
+                for cap in (1, 3, 9):
+                    cut = _cut_to_window_and_undominated(uncut, cap)
+                    assert introduce6(g, capped, pos, cap).rows == cut, (bag, edges, cap)
 
 
 def test_six_table_requires_strictly_ascending_vertices():

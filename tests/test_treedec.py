@@ -124,6 +124,22 @@ def test_non_tree_shapes_are_reported():
     assert any("not connected" in v for v in validate_td(g, forest))
 
 
+def test_a_header_vertex_count_must_be_the_graphs():
+    # a .td header names the vertex count of its graph; a decomposition
+    # built in memory declares none
+    g = Graph(3, [(0, 1), (1, 2)])
+    for n, ok in [(3, True), (4, False), (99, False)]:
+        td = parse_td(f"s td 1 3 {n}\nb 1 1 2 3\n")
+        assert td.vertex_count == n
+        problems = validate_td(g, td)
+        assert (problems == []) == ok, problems
+    assert min_fill_decompose(g).vertex_count is None
+    assert validate_td(g, from_bags([{0, 1, 2}], [])) == []
+    # bag vertices out of the graph's range still raise first
+    with pytest.raises(ValueError, match="out-of-range vertex"):
+        validate_td(g, parse_td("s td 1 3 5\nb 1 1 2 5\n"))
+
+
 def test_out_of_range_ids_raise():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
