@@ -45,6 +45,41 @@ vertex and its new edges; a join groups the rows of both children by
 their member flags.  A pair costs both costs minus the elements both
 sides select.
 
+Selections.  Under a cost cap and without enumeration an introduce of v
+pairs a child row only with the bag-local selections that obey three
+rules: (i) if v is selected, none of its new edges is; (ii) at most one
+new edge is selected; (iii) a new edge vu is selected only when u is not
+a member in the child row.  So each child row meets at most d + 2 of the
+2^(d+1) selections of v and its d new edges, and the empty selection is
+always among them.  This is exact:
+
+    Lemma (Jain, Jayakrishnan, Panolan, Sahu, WG 2017): some minimum
+    mixed dominating set is a vertex set X plus a matching M with no
+    edge of M at a vertex of X.  Take a minimum set S.  If an edge uv
+    and its end u are both in S, then S - uv + v dominates too, since u
+    and v together dominate all that uv does; if v is in S as well,
+    S - uv is a smaller one, which is impossible.  If edges uv and vw
+    are both in S, S - uv + u dominates too, since u and vw together
+    dominate all that uv does.  Each exchange keeps |S| and adds a
+    vertex, so they stop, at a minimum set of X ∪ M form.  Such a set
+    obeys (i)-(iii) at every introduce of every branch, since u is a
+    member in a child row exactly when the set holds u.
+
+    Dominance: whether the rules allow a selection depends only on the
+    selection and on which bag neighbours are members.  A row and the
+    row one slot better that the forget's pass lets replace it share
+    their members (flags.py, "Soundness"), so they are offered the same
+    selections and the monotonicity argument carries over unchanged.
+
+    Window: a set of X ∪ M form is a minimum set, so the cost window of
+    walk.py keeps the rows it passes through.
+
+The rules do not also forbid an edge at an old end that is only marked:
+that would offer a row and a better one different selections, which the
+dominance argument does not cover.  An enumerating walk must list every
+minimum set and an uncapped one builds the full tables, so both offer
+every selection.
+
 Dominated rows.  Under a cost cap forget_reduce drops them in its cut;
 flags.py holds the pass, the argument and when it runs.
 
@@ -435,6 +470,25 @@ def _introduce_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
     return runs, neighbor_members, DOMINATED << 8 * pos, tuple(cross), local
 
 
+@lru_cache(maxsize=4096)
+def _x_m_selections(k: int, edge_endpoints: tuple, pos: int, members: int) -> tuple:
+    """The bag-local selections of _introduce_shape that the rules of the
+    module docstring ("Selections") offer a child row whose word, masked
+    to the MEMBER flags of the new vertex's bag neighbours, is members:
+    nothing, the new vertex alone, or one new edge whose old endpoint is
+    not a member.  Cheapest first, the empty selection leading."""
+    blocked = set()
+    for j, (a, b) in enumerate(edge_endpoints):
+        if pos in (a, b):
+            u = a + b - pos  # the old endpoint, at u - 1 in the child past pos
+            if members >> 8 * (u - (u > pos)) & MEMBER:
+                blocked.add(k + j)
+    local = _introduce_shape(k, edge_endpoints, pos)[4]
+    return tuple(
+        row for row in local if len(row[2]) < 2 and blocked.isdisjoint(row[2])
+    )
+
+
 def _introduce_extend(
     g: Graph,
     stable_child: StateTable,
@@ -445,8 +499,9 @@ def _introduce_extend(
     if v_new in child.vpos:
         raise ValueError(f"vertex {v_new} is already in the bag")
     layout = BagLayout(g, child.vertices + (v_new,))
+    k, pos = len(layout.vertices), layout.vpos[v_new]
     runs, neighbor_members, v_dominated, cross, local = _introduce_shape(
-        len(layout.vertices), layout.edge_endpoints, layout.vpos[v_new]
+        k, layout.edge_endpoints, pos
     )
     result = StateTable(layout, stable_child.track_witnesses)
     if result.track_witnesses:
@@ -463,10 +518,24 @@ def _introduce_extend(
             if cword >> shift & (MEMBER | MARKED):
                 base |= edge_dominated
         moved.append((centry[0], base, centry))
-    # the empty selection keeps every child row at its cost, so the group's
-    # cheapest pair is the child's cheapest row
-    moved.sort()
-    _merge(result, [(0, moved, local)], cost_cap)
+    # the empty selection keeps every child row at its cost, so a group's
+    # cheapest pair is its cheapest child row
+    if cost_cap is None or result.track_witnesses or not neighbor_members:
+        moved.sort()
+        groups = [(0, moved, local)]
+    else:
+        # one group per member pattern of the new vertex's bag neighbours
+        # in the child word, paired with the selections the pattern allows
+        # (module docstring, "Selections")
+        by_members: dict[int, list] = {}
+        for row, cword in zip(moved, stable_child.words):
+            by_members.setdefault(cword & neighbor_members, []).append(row)
+        groups = []
+        for members, rows in by_members.items():
+            rows.sort()
+            local = _x_m_selections(k, layout.edge_endpoints, pos, members)
+            groups.append((0, rows, local))
+    _merge(result, groups, cost_cap)
     return result
 
 

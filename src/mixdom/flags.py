@@ -56,7 +56,10 @@ Nine-state (dp.py):
     it holds in R.  The pair with each bag-local word is an OR followed
     by the WAITING clear, monotone by the fact above; a local word sets
     MEMBER only on the new slots, where it makes both sides members.
-    Both pairs cost the child's cost plus the same selection.
+    Both pairs cost the child's cost plus the same selection.  Which
+    selections a gamma-only capped introduce offers depends only on the
+    members among the new vertex's bag neighbours (dp.py, "Selections"),
+    so it offers R and R' the same ones.
 
     A forget keeps a row when the forgotten byte has DOMINATED set and
     WAITING clear.  That set (members, MARKED|DOMINATED, DOMINATED) is an

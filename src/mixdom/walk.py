@@ -24,7 +24,10 @@ forms, except the six-state join, whose table its scheme cuts.  A cut
 applies the cost window below and, where flags.py says so, drops the
 dominated rows; flags.py gives that argument.  Every cut keeps its
 table's minimum, so the window stays exact, and the root bag's forgets
-are the same operation, so they are windowed too.
+are the same operation, so they are windowed too.  Without enumeration a
+capped nine-state introduce also offers each child row only the
+selections some minimum set of X ∪ M form needs; dp.py ("Selections")
+gives that argument.
 
 Cost window.  Under a cap no table keeps a row (nine-state) or ledger
 entry (six-state) costing more than the table's minimum plus the number

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from conftest import connected_graphs_up_to, fixture_text, gnp_graph, partial_ktree
+from conftest import (
+    connected_graphs_up_to,
+    fixture_text,
+    gnp_graph,
+    partial_ktree,
+    path_graph,
+)
 from mixdom.dp import (
     BagLayout,
     StateTable,
@@ -377,8 +383,11 @@ def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
     select only the new vertex and its new edges, a join pairs the rows
     that select the same bag elements, and every bag is cut to the window
     of walk.py after it is built.  Without witnesses a forget's table also
-    loses its dominated rows through the pass of flags.py, as the engine's
-    does.  Returns the tables, gamma and the minimum sets."""
+    loses its dominated rows through the pass of flags.py, and an
+    introduce pairs each child row only with the new vertex alone or one
+    new edge at a neighbour the row does not select, besides the empty
+    selection, as the engine's do.  Returns the tables, gamma and the
+    minimum sets."""
     tables: dict[int, StateTable] = {}
     out = []
     for idx in postorder_traversal(ntd):
@@ -388,17 +397,50 @@ def table_driven_walk(g: Graph, ntd, cap: int, track: bool):
         elif node.kind == "introduce":
             full = enumerate_btable(g, node.bag, track, cap)
             layout = full.layout
+            k = len(layout.vertices)
             pos = layout.vpos[node.vertex]
-            new = (1 << pos) | sum(
-                1 << len(layout.vertices) + j
-                for j, ends in enumerate(layout.edge_endpoints)
-                if pos in ends
-            )
-            local = StateTable(layout, track)
+            # new edge slot -> its old endpoint
+            far = {
+                k + j: layout.vertices[a + b - pos]
+                for j, (a, b) in enumerate(layout.edge_endpoints)
+                if pos in (a, b)
+            }
+            new = (1 << pos) | sum(1 << p for p in far)
+            child = tables[node.children[0]]
+            parts = {frozenset(): child}
+            if not track:
+                # the child's rows by which of the new vertex's bag
+                # neighbours they select
+                parts = {}
+                for key, entry in child.rows.items():
+                    members = frozenset(
+                        u for u in far.values() if key[child.layout.vpos[u]] in (1, 2)
+                    )
+                    part = parts.setdefault(members, StateTable(child.layout, False))
+                    part.insert(key, entry[0], None)
+            # the bag-local rows selecting only new slots, with those slots
+            rows = []
             for key, entry in full.rows.items():
-                if not _member_mask(key, len(layout.vertices)) & ~new:
+                mask = _member_mask(key, k)
+                if not mask & ~new:
+                    chosen = [p for p in range(layout.width) if mask >> p & 1]
+                    rows.append((key, entry, chosen))
+            t = StateTable(layout, track)
+            for members, part in parts.items():
+                local = StateTable(layout, track)
+                for key, entry, chosen in rows:
+                    # some minimum set of X ∪ M form: the new vertex or one
+                    # new edge, never an edge at a member
+                    if not track and (
+                        len(chosen) > 1 or any(far.get(p) in members for p in chosen)
+                    ):
+                        continue
                     local.insert(key, entry[0], entry[1][0] if track else None)
-            t = introduce_combine(g, tables[node.children[0]], local, cap)
+                if track:
+                    t = introduce_combine(g, part, local, cap)
+                    continue
+                for word, entry in introduce_combine(g, part, local, cap).words.items():
+                    t.add(word, entry[0], None)
         elif node.kind == "forget":
             t = forget_reduce(g, tables[node.children[0]], node.vertex)
             if not track:
@@ -557,12 +599,20 @@ def test_dominated_rows_go_by_goodness_in_the_nine_state_walk():
     # without enumeration a capped forget drops the rows a one-vertex-better
     # row matches at no higher cost; every root of the decomposition meets
     # other rows at each bag.  On the first two graphs a dominated waiting
-    # vertex ranked above a free one loses the optimum
+    # vertex ranked above a free one loses the optimum.  On the path of 8
+    # vertices and the 5- and 7-cycles every minimum set selects an edge,
+    # so only the edge selections an introduce offers reach the optimum
     rng = random.Random(53)
     cases = [
         Graph(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (4, 5)]),
         Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)]),
     ]
+    needs_edges = [path_graph(8)] + [
+        Graph(n, [(v, (v + 1) % n) for v in range(n)]) for n in (5, 7)
+    ]
+    for g in needs_edges:
+        assert all(s >> g.vertex_count for s in brute_force(g, enumerate_all=True).min_sets)
+    cases += needs_edges
     cases += [
         gnp_graph(rng, rng.randint(4, 7), rng.choice((0.3, 0.5, 0.7))) for _ in range(60)
     ]
@@ -576,6 +626,54 @@ def test_dominated_rows_go_by_goodness_in_the_nine_state_walk():
                 assert run_dp(g, ntd, cost_cap=cap).gamma == gamma, (g.edges, root)
                 runs += 1
     assert runs > 400
+
+
+def test_capped_gamma_walk_never_selects_an_edge_at_a_member():
+    # some minimum set is a vertex set X with a matching M that touches no
+    # vertex of X (dp.py, "Selections"), so a capped walk without
+    # enumeration never selects a vertex and an edge at it: no row holds
+    # state 1.  The enumerating walk must list every minimum set and keeps
+    # such rows
+    rng = random.Random(61)
+    cases = [parse_gr(fixture_text("g1.gr"))]
+    cases += [partial_ktree(rng, 14, 3), partial_ktree(rng, 10, 4)]
+    listed_ones = 0
+    for g in cases:
+        cap = greedy_upper_bound(g)
+        td = min_fill_decompose(g)
+        gamma = run6(g, make_very_nice(td)).gamma
+        for root in range(len(td.bags)):
+            ntd = make_very_nice(td, root=root)
+            res = run_dp(g, ntd, collect_tables=True, cost_cap=cap)
+            assert res.gamma == gamma, (write_case(g), root)
+            for table in res.tables:
+                k = len(table.layout.vertices)
+                assert all(1 not in key[:k] for key in table.rows), (write_case(g), root)
+        listed = run_dp(g, ntd, enumerate_sets=True, collect_tables=True, cost_cap=cap)
+        for table in listed.tables:
+            k = len(table.layout.vertices)
+            listed_ones += sum(1 in key[:k] for key in table.rows)
+    assert listed_ones
+
+
+def test_capped_gamma_walk_keeps_the_optimum_at_every_root_of_partial_ktrees():
+    # an introduce offers a child row the selections its own members allow
+    # (dp.py, "Selections"); reading them off the wrong bytes loses the
+    # optimum at some roots, which the enumerating walk, offered every
+    # selection, does not
+    rng = random.Random(71)
+    cases = [partial_ktree(rng, rng.randint(10, 16), 3) for _ in range(6)]
+    cases += [partial_ktree(rng, rng.randint(8, 12), 4, keep=0.6) for _ in range(3)]
+    for g in cases:
+        cap = greedy_upper_bound(g)
+        td = min_fill_decompose(g)
+        for root in range(len(td.bags)):
+            ntd = make_very_nice(td, root=root)
+            listed = run_dp(g, ntd, enumerate_sets=True, cost_cap=cap)
+            assert run_dp(g, ntd, cost_cap=cap).gamma == listed.gamma, (
+                write_case(g),
+                root,
+            )
 
 
 # (better, worse) vertex flag bytes of the goodness order, written out
