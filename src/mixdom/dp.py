@@ -83,6 +83,12 @@ every selection.
 Dominated rows.  Under a cost cap forget_reduce drops them in its cut;
 flags.py holds the pass, the argument and when it runs.
 
+Memo.  Under a cost cap and without enumeration each bag operation first
+asks the memo of walk.py, which gives the argument, for the table of its
+bag shape and shifted child rows, and keeps the table it forms there.  A
+table from the memo gets its layout as a computed one does, from the
+child's layout (BagLayout.introduced, BagLayout.forgotten).
+
 This module holds only the engine and does not read the ⋆/∗ tables.  The
 paper's table-driven operations, introduce_combine and join_combine, live
 in reference.py as the specification the tests check the engine against.
@@ -91,6 +97,7 @@ in reference.py as the specification the tests check the engine against.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
@@ -107,7 +114,7 @@ from .flags import (
 )
 from .graph import Graph, is_mixed_dominating_set
 from .treedec import NiceTreeDecomposition
-from .walk import walk
+from .walk import MEMO_CHILD_ROWS, memo, walk
 
 # state 0 (slot unused) only ever appears in rows built by hand
 UNUSED = 16
@@ -144,16 +151,48 @@ class BagLayout:
     """Canonical slot assignment for one bag: vertices ascending by id,
     then the bag-induced edges ascending by (endpoint, endpoint)."""
 
+    __slots__ = ("vertices", "edges", "width", "edge_endpoints")
+
     def __init__(self, g: Graph, bag_vertices):
         self.vertices: tuple[int, ...] = tuple(sorted(bag_vertices))
-        k = len(self.vertices)
-        self.vpos = {v: i for i, v in enumerate(self.vertices)}
+        vpos = self.vpos
         # bag-induced edges from vertex pairs, so a bag costs O(k^2) and not
         # its vertices' degrees; edge ids ascend with their endpoint pairs
         pairs = [(u, v) for u, v in combinations(self.vertices, 2) if g.has_edge(u, v)]
         self.edges: tuple[int, ...] = tuple(g.edge_id(u, v) for u, v in pairs)
-        self.width = k + len(self.edges)
-        self.edge_endpoints = tuple((self.vpos[u], self.vpos[v]) for u, v in pairs)
+        self.width = len(self.vertices) + len(self.edges)
+        self.edge_endpoints = tuple((vpos[u], vpos[v]) for u, v in pairs)
+
+    @property
+    def vpos(self) -> dict[int, int]:
+        """Each bag vertex's slot."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    def introduced(self, g: Graph, v: int, pos: int) -> BagLayout:
+        """The layout of this bag plus v at slot pos, built from this one:
+        only v's slot and its bag edges are new."""
+        vertices = self.vertices
+        nbrs = tuple([i for i, u in enumerate(vertices) if g.has_edge(u, v)])
+        endpoints, sources = _introduced_edges(
+            len(vertices), self.edge_endpoints, pos, nbrs
+        )
+        new = [g.edge_id(vertices[i], v) for i in nbrs]
+        return _layout(
+            vertices[:pos] + (v,) + vertices[pos:],
+            tuple([self.edges[j] if j >= 0 else new[~j] for j in sources]),
+            endpoints,
+        )
+
+    def forgotten(self, pos: int) -> BagLayout:
+        """The layout of this bag less the vertex at slot pos, built from
+        this one."""
+        vertices = self.vertices
+        endpoints, kept = _forget_shape(len(vertices), self.edge_endpoints, pos)[3:]
+        return _layout(
+            vertices[:pos] + vertices[pos + 1:],
+            tuple([self.edges[j] for j in kept]),
+            endpoints,
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BagLayout):
@@ -164,6 +203,34 @@ class BagLayout:
         """Per slot, the global element bit of its vertex or edge."""
         bits = [1 << v for v in self.vertices]
         return bits + [1 << (g.vertex_count + e) for e in self.edges]
+
+
+def _layout(vertices: tuple, edges: tuple, edge_endpoints: tuple) -> BagLayout:
+    """A BagLayout from its parts, which must be the ones BagLayout.__init__
+    derives."""
+    layout = object.__new__(BagLayout)
+    layout.vertices = vertices
+    layout.edges = edges
+    layout.width = len(vertices) + len(edges)
+    layout.edge_endpoints = edge_endpoints
+    return layout
+
+
+@lru_cache(maxsize=4096)
+def _introduced_edges(k: int, edge_endpoints: tuple, pos: int, nbrs: tuple) -> tuple:
+    """The edges of a bag of k vertices with these edges once a vertex is
+    introduced at position pos next to the vertices at positions nbrs:
+    their endpoint positions, ascending, and where each comes from, j for
+    the bag's edge j and ~i for the new edge to nbrs[i]."""
+    edges = [
+        ((a + (a >= pos), b + (b >= pos)), j)
+        for j, (a, b) in enumerate(edge_endpoints)
+    ]
+    for i, u in enumerate(nbrs):
+        u += u >= pos
+        edges.append(((min(u, pos), max(u, pos)), ~i))
+    edges.sort()
+    return tuple(ends for ends, _ in edges), tuple(src for _, src in edges)
 
 
 def _open_vertices(layout: BagLayout, edge_states) -> list[bool]:
@@ -356,11 +423,44 @@ def leaf_table(
     cost_cap: int | None = None,
 ) -> StateTable:
     """Table of a leaf bag: the single vertex is selected (state 2, cost 1)
-    or not (state 5, cost 0)."""
+    or not (state 5, cost 0).  Under a cap and without enumeration the
+    table comes from the memo of walk.py when it holds one."""
     bag = tuple(bag_vertices)
     if len(bag) != 1:
         raise ValueError(f"leaf bag must be a single vertex, got {sorted(bag)}")
-    return enumerate_btable(g, bag, track_witnesses, cost_cap)
+    if cost_cap is None or track_witnesses:
+        return enumerate_btable(g, bag, track_witnesses, cost_cap)
+    key = ("leaf", min(cost_cap, 1))
+    table = _recall(key, _layout(bag, (), ()), 0)
+    if table is None:
+        table = enumerate_btable(g, bag, False, cost_cap)
+        _remember(key, table, 0, 0)
+    return table
+
+
+# -- the memo of walk.py ----------------------------------------------------
+
+
+def _shifted(words: dict, low: int) -> tuple:
+    """Gamma-only rows as (word, cost - low), the form in which the memo of
+    walk.py keys and keeps them."""
+    return tuple([(word, cost - low) for word, (cost, _) in words.items()])
+
+
+def _recall(key: tuple, layout: BagLayout, low: int) -> StateTable | None:
+    """The gamma-only table the memo holds under key, its costs raised by
+    low, or None."""
+    found = memo.get(key)
+    if found is None:
+        return None
+    table = StateTable(layout, False)
+    table.words = {word: [low + cost, None] for word, cost in found}
+    return table
+
+
+def _remember(key: tuple, table: StateTable, low: int, rows_in: int) -> None:
+    """Keep a gamma-only table under key, its costs lowered by low."""
+    memo.store(key, _shifted(table.words, low), rows_in + len(table.words))
 
 
 # -- the engine's bag operations --------------------------------------------
@@ -496,10 +596,24 @@ def _introduce_extend(
     cost_cap: int | None = None,
 ) -> StateTable:
     child = stable_child.layout
-    if v_new in child.vpos:
+    if v_new in child.vertices:
         raise ValueError(f"vertex {v_new} is already in the bag")
-    layout = BagLayout(g, child.vertices + (v_new,))
-    k, pos = len(layout.vertices), layout.vpos[v_new]
+    pos = bisect_left(child.vertices, v_new)
+    layout = child.introduced(g, v_new, pos)
+    k = len(layout.vertices)
+    key = None
+    rows_in = len(stable_child.words)
+    if cost_cap is not None and not stable_child.track_witnesses and 0 < rows_in <= MEMO_CHILD_ROWS:
+        # the limit of _merge is min(cost_cap, low + k), so the slack is
+        # read up to k (walk.py, "Memo")
+        low = min(stable_child.words.values())[0]
+        key = (
+            "introduce", k, layout.edge_endpoints, pos, min(cost_cap - low, k),
+            _shifted(stable_child.words, low),
+        )
+        found = _recall(key, layout, low)
+        if found is not None:
+            return found
     runs, neighbor_members, v_dominated, cross, local = _introduce_shape(
         k, layout.edge_endpoints, pos
     )
@@ -536,6 +650,8 @@ def _introduce_extend(
             local = _x_m_selections(k, layout.edge_endpoints, pos, members)
             groups.append((0, rows, local))
     _merge(result, groups, cost_cap)
+    if key is not None:
+        _remember(key, result, low, rows_in)
     return result
 
 
@@ -543,8 +659,10 @@ def _introduce_extend(
 def _forget_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
     """How a bag of k vertices with these edges loses the vertex at
     position pos: per incident edge (shift of its byte, WAITING flag of its
-    far end), the DOMINATED flags of all incident edges, and the runs that
-    move the kept bytes down into the smaller bag's word."""
+    far end), the DOMINATED flags of all incident edges, the runs that
+    move the kept bytes down into the smaller bag's word, and the smaller
+    bag's edges: their endpoint positions and which edges of this bag
+    they are."""
     incident = []
     all_dominated = 0
     dropped = {pos}
@@ -555,7 +673,12 @@ def _forget_shape(k: int, edge_endpoints: tuple, pos: int) -> tuple:
             dropped.add(k + j)
     kept = [p for p in range(k + len(edge_endpoints)) if p not in dropped]
     runs = _runs((p, t) for t, p in enumerate(kept))
-    return tuple(incident), all_dominated, runs
+    kept_edges = tuple(p - k for p in kept if p >= k)
+    endpoints = tuple(
+        (a - (a > pos), b - (b > pos))
+        for a, b in (edge_endpoints[j] for j in kept_edges)
+    )
+    return tuple(incident), all_dominated, runs, endpoints, kept_edges
 
 
 def forget_reduce(
@@ -575,17 +698,30 @@ def forget_reduce(
     Costs are kept, so no row goes over the cap, but dropping rows may
     raise the minimum: under a cap the table is cut to the cost window of
     walk.py, and without enumeration that cut is the dominated-row pass
-    of flags.py.
+    of flags.py, and the table comes from the memo of walk.py when it
+    holds one.
     """
     child = stable_child.layout
-    if forgotten not in child.vpos:
+    if forgotten not in child.vertices:
         raise ValueError(f"vertex {forgotten} is not in the bag")
-    layout = BagLayout(g, [v for v in child.vertices if v != forgotten])
-    upos = child.vpos[forgotten]
+    upos = child.vertices.index(forgotten)
+    layout = child.forgotten(upos)
+    track = stable_child.track_witnesses
+    key = None
+    rows_in = len(stable_child.words)
+    if cost_cap is not None and not track and 0 < rows_in <= MEMO_CHILD_ROWS:
+        # a forget reads no cap, so its key holds no slack
+        low = min(stable_child.words.values())[0]
+        key = (
+            "forget", len(child.vertices), child.edge_endpoints, upos,
+            _shifted(stable_child.words, low),
+        )
+        found = _recall(key, layout, low)
+        if found is not None:
+            return found
     incident, all_dominated, runs = _forget_shape(
         len(child.vertices), child.edge_endpoints, upos
-    )
-    track = stable_child.track_witnesses
+    )[:3]
     result = StateTable(layout, track)
     shift = 8 * upos
     for cword, entry in stable_child.words.items():
@@ -608,6 +744,8 @@ def forget_reduce(
         else:
             steps = bag_steps(k, layout.edge_endpoints)
             result.words = undominated(words, steps, window=k)
+    if key is not None:
+        _remember(key, result, low, rows_in)
     return result
 
 
@@ -620,6 +758,29 @@ def _join_grouped(
     if stable_a.layout != stable_b.layout:
         raise ValueError("join children must share the same bag layout")
     layout = stable_a.layout
+    key = None
+    rows_in = len(stable_a.words) + len(stable_b.words)
+    if (
+        cost_cap is not None
+        and not (stable_a.track_witnesses or stable_b.track_witnesses)
+        and stable_a.words
+        and stable_b.words
+        and rows_in <= MEMO_CHILD_ROWS
+    ):
+        # no pair costs more than both sides' dearest shifted rows, so the
+        # slack is read up to their sum (walk.py, "Memo")
+        low_a = min(stable_a.words.values())[0]
+        low_b = min(stable_b.words.values())[0]
+        low = low_a + low_b
+        dearest = max(stable_a.words.values())[0] + max(stable_b.words.values())[0]
+        key = (
+            "join", len(layout.vertices), layout.edge_endpoints,
+            min(cost_cap, dearest) - low,
+            _shifted(stable_a.words, low_a), _shifted(stable_b.words, low_b),
+        )
+        found = _recall(key, layout, low)
+        if found is not None:
+            return found
     result = StateTable(
         layout, stable_a.track_witnesses and stable_b.track_witnesses
     )
@@ -635,6 +796,8 @@ def _join_grouped(
             group[1].append(row)
     pairs = [(m.bit_count(), ra, rb) for m, (ra, rb) in groups.items()]
     _merge(result, pairs, cost_cap)
+    if key is not None:
+        _remember(key, result, low, rows_in)
     return result
 
 
@@ -649,7 +812,8 @@ class _NineState:
     cost cap.  Each method is one call to its bag operation, which cuts
     the table it forms (walk.py).  Bag operations are looked up as module
     globals on every call, so wrappers installed on this module from
-    outside see each call."""
+    outside see each call; the memo of walk.py is asked inside the
+    operations, so they see it whether the memo answers it or not."""
 
     def __init__(self, g: Graph, track_witnesses: bool, cost_cap: int | None):
         self.g = g

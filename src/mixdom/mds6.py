@@ -59,6 +59,12 @@ hand.  Their introduces add each child entry, times the branches that
 give it, at the entry's cost plus the branch's; their forgets add up
 ledgers; their joins always run transform_join6.
 
+Memo.  Under a cost cap introduce6, forget6 and join6 first ask the memo
+of walk.py, which gives the argument, for the table of their bag shape
+and shifted child rows, counts included, and keep the table they form
+there.  leaf6 builds the same two rows for every leaf, so it has no use
+for one.
+
 Pair join.  When both tables are capped, join6 picks its method from a
 count it makes before it forms any pair.  Rows merge only when the
 MEMBER bits of their flag words agree.  Within such a group the OR of
@@ -81,6 +87,7 @@ tuple, so every join with a full table runs the transform.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -97,7 +104,7 @@ from .flags import (
 )
 from .graph import Graph
 from .treedec import NiceTreeDecomposition
-from .walk import walk
+from .walk import MEMO_CHILD_ROWS, memo, walk
 
 CostLedger = dict[int, int]
 Rows6 = dict[tuple, CostLedger]
@@ -195,6 +202,26 @@ def _low(rows: dict[int, list]) -> int | None:
     """The cheapest cost of [cost, count] rows (lists compare by cost
     first)."""
     return min(rows.values())[0] if rows else None
+
+
+def _shifted(rows: dict[int, list], low: int) -> tuple:
+    """[cost, count] rows as (word, cost - low, count), the form in which
+    the memo of walk.py keys and keeps them."""
+    return tuple([(word, cost - low, n) for word, (cost, n) in rows.items()])
+
+
+def _recall(key: tuple, vertices: tuple, low: int) -> SixTable | None:
+    """The capped table the memo holds under key, its costs raised by low,
+    or None."""
+    found = memo.get(key)
+    if found is None:
+        return None
+    return _table(vertices, {word: [low + cost, n] for word, cost, n in found}, True)
+
+
+def _remember(key: tuple, table: SixTable, low: int, rows_in: int) -> None:
+    """Keep a capped table under key, its costs lowered by low."""
+    memo.store(key, _shifted(table.words, low), rows_in + len(table.words))
 
 
 def leaf6(g: Graph, bag_vertices) -> SixTable:
@@ -324,18 +351,28 @@ def introduce6(
     dropped (module docstring).  Without one, a branch adds each child
     entry, its count times the number of ways the branch is taken, at the
     entry's cost plus the branch's."""
-    if v_new in table.vertices:
+    old = table.vertices
+    if v_new in old:
         raise ValueError(f"vertex {v_new} is already in the bag")
-    vertices = tuple(sorted(table.vertices + (v_new,)))
-    pos = vertices.index(v_new)
-    nbrs = tuple(
-        i for i, u in enumerate(vertices) if i != pos and g.has_edge(v_new, u)
-    )
+    pos = bisect_left(old, v_new)
+    vertices = old[:pos] + (v_new,) + old[pos:]
+    nbrs = tuple(i + (i >= pos) for i, u in enumerate(old) if g.has_edge(v_new, u))
+    if cost_cap is not None:
+        rows = _cheapest(table)
+        key = None
+        if 0 < len(rows) <= MEMO_CHILD_ROWS:
+            # the limit below is min(cost_cap, low + k), so the slack is
+            # read up to k (walk.py, "Memo")
+            low = _low(rows)
+            slack = min(cost_cap - low, len(vertices))
+            key = ("introduce6", len(vertices), pos, nbrs, slack, _shifted(rows, low))
+            found = _recall(key, vertices, low)
+            if found is not None:
+                return found
     branches = _shape(pos, nbrs)
     mask = branches.mask
     below = ~(-1 << 8 * pos)  # the bytes of the slots before pos
     if cost_cap is not None:
-        rows = _cheapest(table)
         # the branch selecting nothing keeps every row's cost, so the
         # table's minimum is the child's and its cost window is known
         limit = min(cost_cap, (_low(rows) or 0) + len(vertices))
@@ -354,7 +391,10 @@ def introduce6(
                     out[word] = [cost, count * ways]
                 elif cost == entry[0]:
                     entry[1] += count * ways
-        return _undominated(_table(vertices, out, True), window=False)
+        result = _undominated(_table(vertices, out, True), window=False)
+        if key is not None:
+            _remember(key, result, low, len(rows))
+        return result
     keeps = byte_ones(len(vertices)) * (MEMBER | MARKED)
     only_kept = (MARKED | DOMINATED) << 8 * pos
     full: dict[int, list] = {}
@@ -388,6 +428,15 @@ def forget6(table: SixTable, forgotten: int) -> SixTable:
     shift = 8 * pos
     below = ~(-1 << shift)
     if table.capped:
+        key = None
+        if 0 < len(table.words) <= MEMO_CHILD_ROWS:
+            # a forget reads no cap, so its key holds no slack (walk.py,
+            # "Memo")
+            low = _low(table.words)
+            key = ("forget6", len(table.vertices), pos, _shifted(table.words, low))
+            found = _recall(key, vertices, low)
+            if found is not None:
+                return found
         out: dict[int, list] = {}
         get = out.get
         for word, (cost, count) in table.words.items():
@@ -399,7 +448,10 @@ def forget6(table: SixTable, forgotten: int) -> SixTable:
                 out[word] = [cost, count]
             elif cost == entry[0]:
                 entry[1] += count
-        return _undominated(_table(vertices, out, True), window=True)
+        result = _undominated(_table(vertices, out, True), window=True)
+        if key is not None:
+            _remember(key, result, low, len(table.words))
+        return result
     rows: dict[int, CostLedger] = {}
     for word, ledger in table.words.items():
         if word >> shift & (DOMINATED | WAITING) == DOMINATED:
@@ -434,9 +486,45 @@ def join6(
     group's, which both sides select (module docstring, "Pair join").  With
     stats, "pairs" counts the pairs formed and "transform_tuples" the
     tuples transformed; one of them is 0.
+
+    When both tables are capped and a cap is given, the table comes from
+    the memo of walk.py when it holds one, and stats are filled as the
+    join that formed it filled them.
     """
     if a.vertices != b.vertices:
         raise ValueError("join children must share the same bag")
+    rows_in = len(a.words) + len(b.words)
+    if not (cost_cap is not None and a.capped and b.capped and a.words and b.words
+            and rows_in <= MEMO_CHILD_ROWS):
+        return _join(a, b, stats, cost_cap)
+    # no pair costs more than both sides' dearest shifted rows, so the
+    # slack is read up to their sum (walk.py, "Memo")
+    low_a, low_b = _low(a.words), _low(b.words)
+    low = low_a + low_b
+    dearest = max(a.words.values())[0] + max(b.words.values())[0]
+    key = (
+        "join6", len(a.vertices), min(cost_cap, dearest) - low,
+        _shifted(a.words, low_a), _shifted(b.words, low_b),
+    )
+    found = memo.get(key)
+    if found is None:
+        made: dict = {}
+        table = _join(a, b, made, cost_cap)
+        rows = tuple([
+            (word, tuple([(cost - low, n) for cost, n in ledger.items()]))
+            for word, ledger in table.words.items()
+        ])
+        found = (rows, made)
+        memo.store(key, found, rows_in + len(rows))
+    rows, made = found
+    if stats is not None:
+        stats.update(made)
+    words = {word: {low + cost: n for cost, n in ledger} for word, ledger in rows}
+    return _table(a.vertices, words, False)
+
+
+def _join(a: SixTable, b: SixTable, stats: dict | None, cost_cap: int | None) -> SixTable:
+    """join6 without the memo."""
     k = len(a.vertices)
     ones = byte_ones(k)
     groups_a = _by_members(a.words, ones * MEMBER)
@@ -490,7 +578,9 @@ class _SixState:
     cost cap.  Each method is one call to its bag operation, which cuts
     the table it forms, except join, which cuts join6's table (walk.py).
     Bag operations are looked up as module globals on every call, so
-    wrappers installed on this module from outside see each call."""
+    wrappers installed on this module from outside see each call; the memo
+    of walk.py is asked inside the operations, so they see it whether the
+    memo answers it or not."""
 
     def __init__(self, g: Graph, cost_cap: int | None):
         self.g = g

@@ -47,15 +47,54 @@ minimum sets:
     through a bag vertex).  Its size is at most cost(R0) + k + |F|, which
     is less than cost(R) + |F|.  So no extension of R is a minimum set,
     and every minimum set still restricts to a row inside the window.
+
+Memo.  Under a cap and without enumeration a bag operation's table is a
+function of the bag's shape, of its child tables shifted to cost 0 and of
+how far the cap sits above their minimum.  So both programs' operations
+keep the tables they form in one memo, keyed by the operation, the shape,
+each child's rows as (word, cost - minimum[, count]) and that slack, each
+table stored shifted the same way, and a key met before rebuilds its table
+by adding the minimum back.  This is exact:
+
+    Every cost an operation forms is a child cost plus an amount that
+    the words and the shape fix (a selection, a branch, a join pair's
+    shared members), so shifting the child costs by c shifts every
+    formed cost by c, and a join's by the sum of both shifts.  Every cut
+    is relative: the cost window is the table's own minimum plus k, and
+    the dominated-row pass compares costs within one table, so both
+    shift alike.  The cap is the one absolute bound, cost <= cap, which
+    reads as shifted cost <= cap - minimum, the slack.  Past the point
+    where the operation's own limit is tighter, a larger slack changes
+    nothing, so the key clips the slack there: at k for an introduce,
+    whose cheapest pair is the child's cheapest row; at the largest
+    shifted pair cost for a join; at 1, the dearer leaf row, for a leaf.
+    A forget reads no cap, so its key holds no slack.  The graph enters
+    only through the shape: the bag's vertex count, its edge endpoint
+    positions and the vertex's position (six-state: the vertex's
+    position and its bag neighbours' positions).  A six-state table's
+    counts are read as they are, so they are part of the key.  The key
+    lists the rows in the order the table holds them, so a hit rebuilds
+    the table the operation would have formed, in the same order.
+
+An enumerating walk's rows link to the row objects they were built from,
+and an uncapped walk builds the full tables that traces show, so neither
+uses the memo.  Nor does an operation whose child tables hold more than
+MEMO_CHILD_ROWS rows in all: its key would cost a good share of the
+operation, and such tables seldom repeat.  Over the perfbench graphs and
+the bench rungs of width 3 to 5, 9 of 264 operations on 129 to 256 child
+rows and 1 of 203 on more met a key seen before.  The memo holds at most
+MEMO_ROWS rows, counting each entry's child rows and table rows, and is
+emptied when a new entry would pass that bound.  It lives inside the
+operations, so anything that wraps an operation from outside still sees
+every bag.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Protocol, TypeVar
 
 from .graph import Graph
-from .treedec import NiceTreeDecomposition, postorder_traversal
+from .treedec import NiceTreeDecomposition
 
 T = TypeVar("T")
 
@@ -79,6 +118,39 @@ class BagScheme(Protocol[T]):
 
 
 _ARITY = {"leaf": 0, "introduce": 1, "forget": 1, "join": 2}
+
+# the rows the memo holds at most, and the child rows past which an
+# operation does not use it (module docstring, "Memo")
+MEMO_ROWS = 1 << 15
+MEMO_CHILD_ROWS = 128
+
+
+class Memo(dict):
+    """Tables of capped, non-enumerating bag operations by key (module
+    docstring, "Memo"); rows counts the rows of the entries held."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound = bound
+        self.rows = 0
+
+    def store(self, key, value, rows: int) -> None:
+        """Keep value under key, emptying the memo first when rows more
+        would pass the bound; an entry larger than the bound is not kept."""
+        if self.rows + rows > self.bound:
+            self.clear()
+            if rows > self.bound:
+                return
+        self.rows += rows
+        self[key] = value
+
+    def clear(self) -> None:
+        super().clear()
+        self.rows = 0
+
+
+# the one memo of both programs; each key starts with its operation's name
+memo = Memo(MEMO_ROWS)
 
 
 def _check_decomposition(
@@ -107,65 +179,77 @@ def _check_decomposition(
     child holds more) and no join (its children hold the same).  So edge
     coverage is read off the introduce bags alone, wherever the
     decomposition puts its joins.
+
+    A bag is compared with its child's by subset tests and sizes, without
+    building either side's expected set: B is C plus v exactly when v is
+    in B, C is inside B and B has one vertex more than C unless C holds v,
+    and B is C less v exactly when the same holds with B and C swapped and
+    v outside B.
     """
     nodes = ntd.nodes
+    n = g.vertex_count
     if not 0 <= ntd.root < len(nodes):
         raise ValueError(f"root {ntd.root} is not a node")
-    exits = Counter(nodes[ntd.root].bag)
-    seen_edges: set[int] = set()
+    exits = [0] * n
+    for v in nodes[ntd.root].bag:
+        if 0 <= v < n:
+            exits[v] += 1
+    covered = bytearray(g.edge_count)
+    has_edge, edge_id = g.has_edge, g.edge_id
     reached = [False] * len(nodes)
     reached[ntd.root] = True
-    walked = 0
+    order = []  # root first, each node before its children, last child first
     stack = [ntd.root]
     while stack:
         idx = stack.pop()
-        walked += 1
-        node = nodes[idx]
-        if _ARITY.get(node.kind) != len(node.children):
-            raise ValueError(
-                f"bag {idx} of kind {node.kind} has {len(node.children)} children"
-            )
-        for c in node.children:
+        order.append(idx)
+        bag, kind, v, children = nodes[idx]
+        if _ARITY.get(kind) != len(children):
+            raise ValueError(f"bag {idx} of kind {kind} has {len(children)} children")
+        for c in children:
             if not 0 <= c < len(nodes) or reached[c]:
                 raise ValueError(f"node {c} is reached twice or does not exist")
             reached[c] = True
             stack.append(c)
-        for v in node.bag:
-            if not 0 <= v < g.vertex_count:
-                raise ValueError(f"bag vertex {v} is not in the graph")
-        below = [nodes[c].bag for c in node.children]
-        if node.kind == "leaf":
-            expected = node.bag
-        elif node.kind == "introduce":
-            expected = below[0] | {node.vertex}
-            seen_edges.update(
-                g.edge_id(node.vertex, u)
-                for u in below[0]
-                if g.has_edge(node.vertex, u)
-            )
-        elif node.kind == "forget":
-            expected = below[0] - {node.vertex}
-            exits.update(below[0] - node.bag)
+        if bag and not (0 <= min(bag) and max(bag) < n):
+            bad = next(u for u in bag if not 0 <= u < n)
+            raise ValueError(f"bag vertex {bad} is not in the graph")
+        if kind == "leaf":
+            continue
+        below = nodes[children[0]].bag
+        if kind == "introduce":
+            for u in below:
+                if has_edge(v, u):
+                    covered[edge_id(v, u)] = 1
+            fits = v in bag and below <= bag and len(bag) == len(below) + (v not in below)
+        elif kind == "forget":
+            fits = v not in bag and bag <= below and len(below) == len(bag) + (v in below)
+            if fits and v in below and 0 <= v < n:
+                exits[v] += 1
         else:
-            expected = node.bag if below == [node.bag, node.bag] else None
-        if node.bag != expected:
+            fits = below == bag == nodes[children[1]].bag
+        if not fits:
             raise ValueError("bag content does not match the operation")
-    if walked != len(nodes):
+    if len(order) != len(nodes):
         raise ValueError(
-            f"{len(nodes) - walked} bags are not reachable from the root"
+            f"{len(nodes) - len(order)} bags are not reachable from the root"
         )
-    for v in range(g.vertex_count):
-        if exits[v] != 1:
-            raise ValueError(f"vertex {v} leaves the decomposition {exits[v]} times")
-    if seen_edges != set(range(g.edge_count)):
+    if exits.count(1) != n:
+        v = next(v for v, count in enumerate(exits) if count != 1)
+        raise ValueError(f"vertex {v} leaves the decomposition {exits[v]} times")
+    if 0 in covered:
         raise ValueError("decomposition does not cover the graph")
     if tau is None:
-        return postorder_traversal(ntd)
+        # each node is reached before its children, the last child first,
+        # so the reverse is a postorder with the first child first
+        order.reverse()
+        return order
     done = [False] * len(nodes)
     for idx in tau:
         if not 0 <= idx < len(nodes) or done[idx]:
             raise ValueError(f"tau lists node {idx} twice or does not exist")
-        for c in nodes[idx].children:
+        _, _, _, children = nodes[idx]
+        for c in children:
             if not done[c]:
                 raise ValueError(f"tau lists node {idx} before its children")
         done[idx] = True
@@ -193,24 +277,25 @@ def walk(
     tau = _check_decomposition(g, ntd, tau)
     tables: dict[int, T] = {}
     collected: list[T] = []
+    nodes = ntd.nodes
     for idx in tau:
-        node = ntd.nodes[idx]
-        if node.kind == "leaf":
-            t = scheme.leaf(node.bag)
-        elif node.kind == "introduce":
-            t = scheme.introduce(tables[node.children[0]], node.vertex)
-        elif node.kind == "forget":
-            t = scheme.forget(tables[node.children[0]], node.vertex)
+        bag, kind, vertex, children = nodes[idx]
+        if kind == "leaf":
+            t = scheme.leaf(bag)
+        elif kind == "introduce":
+            t = scheme.introduce(tables[children[0]], vertex)
+        elif kind == "forget":
+            t = scheme.forget(tables[children[0]], vertex)
         else:
-            t = scheme.join(tables[node.children[0]], tables[node.children[1]])
+            t = scheme.join(tables[children[0]], tables[children[1]])
         if collect_tables:
             collected.append(t)
         else:
-            for c in node.children:
+            for c in children:
                 del tables[c]
         tables[idx] = t
 
-    for v in sorted(ntd.nodes[tau[-1]].bag):
+    for v in sorted(nodes[tau[-1]].bag):
         t = scheme.forget(t, v)
     gamma = scheme.min_cost(t)
     if gamma is None:
